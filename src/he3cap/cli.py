@@ -26,7 +26,7 @@ from .cross_sections import (
     channel_cross_sections,
     channels_for,
     compare_with_oracle,
-    total_cross_section,
+    sections_total,
 )
 from .errors import (
     DegenerateDesignError,
@@ -48,7 +48,6 @@ from .levels import (
     builtin_levels,
     channel_detuning,
     check_kinematics,
-    parity_selection,
 )
 from .polarization import PolarizationTriple
 
@@ -96,6 +95,10 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(part) for part in text.split(","))
 
 
+# A grid of N points per axis visits up to N^3 points; 100 caps that at 10^6.
+MAX_GRID = 100
+
+
 def _grid_size(text: str) -> int:
     try:
         value = int(text)
@@ -103,6 +106,10 @@ def _grid_size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 2:
         raise argparse.ArgumentTypeError(f"grid resolution must be at least 2, got {value}")
+    if value > MAX_GRID:
+        raise argparse.ArgumentTypeError(
+            f"grid resolution must be at most {MAX_GRID} (10^6 points), got {value}"
+        )
     return value
 
 
@@ -212,7 +219,7 @@ def _cmd_xsec(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     pol = PolarizationTriple.of(args.p, args.pl, args.pn)
     sections = channel_cross_sections(pol, model)
-    total = total_cross_section(pol, model)
+    total = sections_total(sections)
     rows = [
         (section.channel.label, str(section.value), section.value.decimal_str())
         for section in sections
@@ -352,7 +359,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_levels(args: argparse.Namespace) -> int:
     if args.detunings:
-        channels = parity_selection(CaptureMode.ORDINARY) + parity_selection(CaptureMode.OAM)
+        channels = channels_for(CaptureMode.ORDINARY) + channels_for(CaptureMode.OAM)
         rows = [(ch.label, f"{channel_detuning(ch):+.3f}") for ch in channels]
         payload = {
             "detunings_MeV": {ch.label: channel_detuning(ch) for ch in channels}

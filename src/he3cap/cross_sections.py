@@ -2,9 +2,12 @@
 
 Two independent evaluation routes are kept side by side on purpose:
 
-* closed forms: the per-channel brackets in the pairwise polarization
-  products, coded term by term (including the interference coefficients
-  6 - 4*sqrt(2) and 3 + 4*sqrt(2) of the j''=1 channel);
+* closed forms: one exact coefficient table per capture mode.  Every channel
+  is an affine function of the pairwise differences
+  u = (1 - p*P_L, 1 - p*P_N, 1 - P_L*P_N) with Q(sqrt(2)) coefficients,
+  written term by term (including the interference coefficients
+  6 - 4*sqrt(2) and 3 + 4*sqrt(2) of the j''=1 channel).  The table uses no
+  coupling coefficient, so it stays independent of the oracle;
 * an oracle that performs the full substate sum over occupation
   probabilities and Clebsch-Gordan amplitudes, with coherent addition of
   the two intermediate total-angular-momentum paths.
@@ -141,16 +144,61 @@ _OAM_MOMENTUM = HalfInt(2)
 # The neutron's spin and orbital momentum couple to j' = 1/2 or 3/2.
 _COUPLED_MOMENTA = (HalfInt(1), HalfInt(3))
 
-# Bracket coefficients of the j''=1 channel; the sqrt(2) parts come from
-# interference between the two coupled neutron states.
-_J1_SPIN_OAM = QuadRational.from_rational(3)
-_J1_SPIN_NUCLEAR = QuadRational(Fraction(6), Fraction(-4))
-_J1_OAM_NUCLEAR = QuadRational(Fraction(3), Fraction(4))
+_Terms = tuple[tuple[int, Fraction], ...]
+
+
+def _bracket(denominator: int, *coefficients: int | tuple[int, int]) -> tuple[_Terms, _Terms]:
+    """Table row for (c0 + c1*u1 + c2*u2 + c3*u3) / denominator.
+
+    A coefficient is an int, or a pair (a, b) meaning a + b*sqrt(2).  The row
+    keeps the rational and the sqrt(2) parts apart, each as (k, c) pairs for
+    the nonzero coefficients only; k = 0 is the constant term.
+    """
+    rational, root = [], []
+    for k, coefficient in enumerate(coefficients):
+        a, b = coefficient if isinstance(coefficient, tuple) else (coefficient, 0)
+        if a:
+            rational.append((k, Fraction(a, denominator)))
+        if b:
+            root.append((k, Fraction(b, denominator)))
+    return tuple(rational), tuple(root)
+
+
+# Brackets in the u-basis u = (1 - p*P_L, 1 - p*P_N, 1 - P_L*P_N), so each
+# u_k vanishes when its pair of polarizations is aligned.  The sqrt(2) parts
+# of the j''=1 channel come from interference between the two coupled
+# neutron states.
+_ORDINARY_BRACKETS = {
+    SINGLET: _bracket(4, 0, 0, 1, 0),  # u2 / 4
+    TRIPLET: _bracket(4, 4, 0, -1, 0),  # (4 - u2) / 4
+}
+_OAM_BRACKETS = {
+    OAM_CHANNELS[0]: _bracket(12, 0, 1, -1, 1),  # (u1 - u2 + u3) / 12
+    # (3u1 + (6 - 4*sqrt(2))u2 + (3 + 4*sqrt(2))u3) / 24
+    OAM_CHANNELS[1]: _bracket(24, 0, 3, (6, -4), (3, 4)),
+    OAM_CHANNELS[2]: _bracket(24, 24, -5, -4, -5),  # (24 - 5u1 - 4u2 - 5u3) / 24
+}
 
 
 def _require_mode(model: CaptureModel, mode: CaptureMode, operation: str) -> None:
     if model.mode is not mode:
         raise ModeMismatchError(f"{operation} requires a {mode.value}-mode model")
+
+
+def _tabulated(
+    table: dict[Channel, tuple[_Terms, _Terms]],
+    channel: Channel,
+    pol: PolarizationTriple,
+    model: CaptureModel,
+) -> ChannelCrossSection:
+    strength = model.strength(channel)  # rejects channels of the other mode
+    rational_terms, root_terms = table[channel]
+    u = (1, 1 - pol.p * pol.pl, 1 - pol.p * pol.pn, 1 - pol.pl * pol.pn)
+    rational = sum(c * u[k] for k, c in rational_terms)
+    root = sum(c * u[k] for k, c in root_terms)
+    if strength != 1:  # unit models, the common case, skip two products
+        rational, root = strength * rational, strength * root
+    return ChannelCrossSection(channel, QuadRational(rational, root))
 
 
 def ordinary_closed_form(
@@ -161,10 +209,7 @@ def ordinary_closed_form(
     Triplet: K/4 * (3 + p*P_N); singlet: K/4 * (1 - p*P_N).  P_L is ignored.
     """
     _require_mode(model, CaptureMode.ORDINARY, "ordinary_closed_form")
-    strength = model.strength(channel)
-    spin_product = pol.p * pol.pn
-    bracket = 3 + spin_product if channel == TRIPLET else 1 - spin_product
-    return ChannelCrossSection(channel, QuadRational.from_rational(strength * bracket / 4))
+    return _tabulated(_ORDINARY_BRACKETS, channel, pol, model)
 
 
 def oam_closed_form(
@@ -176,30 +221,7 @@ def oam_closed_form(
     products p*P_L, p*P_N, and P_L*P_N.
     """
     _require_mode(model, CaptureMode.OAM, "oam_closed_form")
-    strength = model.strength(channel)
-    spin_oam = 1 - pol.p * pol.pl
-    spin_nuclear = 1 - pol.p * pol.pn
-    oam_nuclear = 1 - pol.pl * pol.pn
-
-    twice_j = channel.j_final.twice
-    if twice_j == 4:
-        bracket = QuadRational.from_rational(24 - 5 * spin_oam - 4 * spin_nuclear - 5 * oam_nuclear)
-        value = bracket * Fraction(strength, 24)
-    elif twice_j == 2:
-        bracket = (
-            _J1_SPIN_OAM * spin_oam
-            + _J1_SPIN_NUCLEAR * spin_nuclear
-            + _J1_OAM_NUCLEAR * oam_nuclear
-        )
-        value = bracket * Fraction(strength, 24)
-    elif twice_j == 0:
-        bracket = QuadRational.from_rational(
-            1 - pol.p * pol.pl + pol.p * pol.pn - pol.pl * pol.pn
-        )
-        value = bracket * Fraction(strength, 12)
-    else:
-        raise ModeMismatchError(f"channel {channel.label} is not an OAM capture channel")
-    return ChannelCrossSection(channel, value)
+    return _tabulated(_OAM_BRACKETS, channel, pol, model)
 
 
 def ordinary_oracle(
@@ -299,11 +321,13 @@ def channel_cross_sections(
     return tuple(closed_form(channel, pol, model) for channel in model.channels)
 
 
+def sections_total(sections: tuple[ChannelCrossSection, ...]) -> QuadRational:
+    """Exact sum of already evaluated channel cross-sections."""
+    return sum((section.value for section in sections), QuadRational.zero())
+
+
 def total_cross_section(pol: PolarizationTriple, model: CaptureModel) -> QuadRational:
-    total = QuadRational.zero()
-    for section in channel_cross_sections(pol, model):
-        total = total + section.value
-    return total
+    return sections_total(channel_cross_sections(pol, model))
 
 
 def channel_fractions(
@@ -311,7 +335,7 @@ def channel_fractions(
 ) -> tuple[tuple[Channel, QuadRational], ...]:
     """Exact share of each channel in the total cross-section."""
     sections = channel_cross_sections(pol, model)
-    total = total_cross_section(pol, model)
+    total = sections_total(sections)
     if total.is_zero:
         raise DomainError("total cross-section is zero; channel fractions are undefined")
     return tuple((section.channel, section.value / total) for section in sections)

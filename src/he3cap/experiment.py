@@ -7,6 +7,14 @@ the fit (channel-summed or channel-resolved), a Poisson transmission
 simulator for synthetic data, and a sweep that ranks candidate polarization
 settings by how well they complete a design.
 
+Float consumers (the design matrix, the simulator's cross-sections, the
+sweep's bracket rows) do not evaluate exact closed forms point by point.
+Each channel is affine in u = (1 - p*P_L, 1 - p*P_N, 1 - P_L*P_N), so its
+four u-basis coefficients are read off closed_form at five anchor points
+when a batch is evaluated, and the whole batch is one matrix product.
+Entries within roundoff of zero are re-decided exactly, so a closed channel
+stays exactly closed and no cross-section comes out negative.
+
 Counting model: a cell of optical-depth coefficient d (per unit strength)
 transmits a fraction T = exp(-d * sigma_total); captures are Poisson with
 mean exposure * (1 - T), split across channels in proportion to their
@@ -18,11 +26,9 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TextIO, TypeVar
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 from scipy.optimize import nnls
@@ -40,13 +46,8 @@ from .errors import DegenerateDesignError, DomainError
 from .exactnum import QuadRational
 from .polarization import PolarizationTriple
 
-THREADS_ENV_VAR = "HE3CAP_THREADS"
-
 SETTINGS_HEADER = ("p", "P_L", "P_N", "exposure", "depth")
 COUNTS_HEADER = ("setting_id", "capture", "transmitted")
-
-_T = TypeVar("_T")
-_U = TypeVar("_U")
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,10 @@ class MeasurementSetting:
     depth: float
 
     def __post_init__(self) -> None:
-        if not self.exposure > 0:
-            raise DomainError(f"exposure must be positive, got {self.exposure}")
-        if not self.depth > 0:
-            raise DomainError(f"depth must be positive, got {self.depth}")
+        if not (self.exposure > 0 and math.isfinite(self.exposure)):
+            raise DomainError(f"exposure must be positive and finite, got {self.exposure}")
+        if not (self.depth > 0 and math.isfinite(self.depth)):
+            raise DomainError(f"depth must be positive and finite, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -117,38 +118,74 @@ class FitResult:
         }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+# Anchors of the float path.  Their u-vectors are 0, (1, 1, 1), and (1, 1, 1)
+# with u1, u2 or u3 knocked back to 0, so a channel's value at the first is
+# its constant term and the differences from the second give the slopes.
+_ANCHORS = (
+    PolarizationTriple.of(1, 1, 1),
+    PolarizationTriple.of(0, 0, 0),
+    PolarizationTriple.of(1, 1, 0),
+    PolarizationTriple.of(1, 0, 1),
+    PolarizationTriple.of(0, 1, 1),
+)
+
+# Float entries closer to zero than this are re-decided by the exact closed
+# form, which costs one exact evaluation each; roundoff near a zero could
+# otherwise leave a tiny or negative cross-section.
+_ZERO_TOLERANCE = 1e-12
 
 
-def _map_ordered(fn: Callable[[_T], _U], items: Sequence[_T]) -> list[_U]:
-    """Map preserving order; parallel over threads when HE3CAP_THREADS > 1."""
-    workers = _thread_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _u_coefficients(mode: CaptureMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each channel's (c0, c1, c2, c3) at K = 1: sigma = c0 + c1*u1 + c2*u2 + c3*u3.
+
+    Returned as integer numerators of the rational and the sqrt(2) parts,
+    shape (channels, 4), and one common denominator per channel.  The
+    coefficients are read off closed_form at call time, so the float path
+    evaluates whatever closed form is in force rather than a copy of it.
+    """
+    unit = CaptureModel.uniform(mode)
+    rational, root, denominators = [], [], []
+    for channel in channels_for(mode):
+        origin, ones, *knocked = (closed_form(channel, pol, unit).value for pol in _ANCHORS)
+        row = [origin] + [ones - value for value in knocked]
+        denominator = math.lcm(*(part.denominator for c in row for part in (c.a, c.b)))
+        rational.append([int(c.a * denominator) for c in row])
+        root.append([int(c.b * denominator) for c in row])
+        denominators.append(denominator)
+    return (
+        np.array(rational, dtype=float),
+        np.array(root, dtype=float),
+        np.array(denominators, dtype=float),
+    )
+
+
+def _unit_brackets(pols: Sequence[PolarizationTriple], mode: CaptureMode) -> np.ndarray:
+    """Float cross-sections at K = 1, one row per point, one column per channel."""
+    p, pl, pn = np.array(
+        [(float(pol.p), float(pol.pl), float(pol.pn)) for pol in pols], dtype=float
+    ).reshape(-1, 3).T
+    basis = np.column_stack([np.ones_like(p), 1 - p * pl, 1 - p * pn, 1 - pl * pn])
+    # Integer numerators, with the two parts summed apart as in the exact
+    # table: on a dyadic grid both sums are exact, and a rational entry is
+    # correctly rounded by the one division.
+    rational, root, denominators = _u_coefficients(mode)
+    values = (basis @ rational.T + math.sqrt(2) * (basis @ root.T)) / denominators
+    channels = channels_for(mode)
+    unit = CaptureModel.uniform(mode)
+    for row, column in zip(*np.nonzero(np.abs(values) < _ZERO_TOLERANCE)):
+        values[row, column] = float(closed_form(channels[column], pols[row], unit).value)
+    return values
 
 
 def design_matrix(settings: Sequence[MeasurementSetting], mode: CaptureMode) -> np.ndarray:
     """Per-setting, per-channel cross-section brackets at unit strength.
 
-    Entry (i, c) is the channel-c cross-section at setting i with K = 1,
-    rendered to float from the exact value.
+    Entry (i, c) is the channel-c cross-section at setting i with K = 1, as
+    a float; exact zeros are exact.
     """
     if not settings:
         raise DomainError("at least one measurement setting is required")
-    channels = channels_for(mode)
-    unit = CaptureModel.uniform(mode)
-
-    def row(setting: MeasurementSetting) -> list[float]:
-        return [float(closed_form(ch, setting.pol, unit).value) for ch in channels]
-
-    return np.array(_map_ordered(row, list(settings)), dtype=float)
+    return _unit_brackets([setting.pol for setting in settings], mode)
 
 
 def _describe_null_combination(
@@ -267,15 +304,15 @@ def simulate_counts(
     """Simulate a transmission/counting run; bit-reproducible for a seed.
 
     Each setting draws from an independent generator derived from
-    (seed, setting index), so results do not depend on evaluation order or
-    thread count.
+    (seed, setting index), so results do not depend on evaluation order.
     """
     channels = channels_for(model.mode)
-
-    def one(indexed: tuple[int, MeasurementSetting]) -> CountRecord:
-        index, setting = indexed
+    strengths = np.array([float(strength) for strength in model.strengths])
+    sigma_rows = _unit_brackets([setting.pol for setting in settings], model.mode) * strengths
+    records = []
+    for index, (setting, sigma_row) in enumerate(zip(settings, sigma_rows)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        sigmas = [float(closed_form(ch, setting.pol, model).value) for ch in channels]
+        sigmas = sigma_row.tolist()
         sigma_total = sum(sigmas)
         transmission = math.exp(-setting.depth * sigma_total)
         captures = int(rng.poisson(setting.exposure * (1.0 - transmission)))
@@ -284,9 +321,8 @@ def simulate_counts(
         else:
             split = (0,) * len(channels)
         transmitted = int(rng.poisson(setting.exposure * transmission))
-        return CountRecord(setting, captures, transmitted, split)
-
-    return _map_ordered(one, list(enumerate(settings)))
+        records.append(CountRecord(setting, captures, transmitted, split))
+    return records
 
 
 # -- discriminability sweep ----------------------------------------------------
@@ -307,14 +343,6 @@ def _reference_settings(mode: CaptureMode) -> list[PolarizationTriple]:
     return [PolarizationTriple.of(0, 0, 0)]
 
 
-def _condition_number(rows: np.ndarray) -> float:
-    singular_values = np.linalg.svd(rows, compute_uv=False)
-    smallest = singular_values[-1]
-    if smallest <= 0:
-        return math.inf
-    return float(singular_values[0] / smallest)
-
-
 def discriminability_sweep(
     grid_resolution: int, mode: CaptureMode, model: CaptureModel | None = None
 ) -> list[SweepPoint]:
@@ -332,25 +360,25 @@ def discriminability_sweep(
         model = CaptureModel.uniform(mode)
     if model.mode is not mode:
         raise DomainError(f"model mode {model.mode.value} does not match sweep mode {mode.value}")
-    channels = channels_for(mode)
-    unit = CaptureModel.uniform(mode)
     references = _reference_settings(mode)
-
-    def bracket_row(pol: PolarizationTriple) -> list[float]:
-        return [float(closed_form(ch, pol, unit).value) for ch in channels]
-
-    reference_rows = [bracket_row(pol) for pol in references]
     values = grid_values(grid_resolution)
     points = [
         PolarizationTriple(p, pl, pn) for p in values for pl in values for pn in values
     ]
+    rows = _unit_brackets(references + points, mode)
+    # One square design per point: the reference rows, then the point's row.
+    designs = np.empty((len(points), len(references) + 1, rows.shape[1]))
+    designs[:, :-1] = rows[: len(references)]
+    designs[:, -1] = rows[len(references) :]
+    singular_values = np.linalg.svd(designs, compute_uv=False)
+    largest, smallest = singular_values[:, 0], singular_values[:, -1]
+    conditions = np.full(len(points), math.inf)
+    np.divide(largest, smallest, out=conditions, where=smallest > 0)
 
-    def evaluate(pol: PolarizationTriple) -> SweepPoint:
-        fractions = tuple(share for _, share in channel_fractions(pol, model))
-        condition = _condition_number(np.array(reference_rows + [bracket_row(pol)]))
-        return SweepPoint(pol, fractions, condition)
-
-    sweep = _map_ordered(evaluate, points)
+    sweep = [
+        SweepPoint(pol, tuple(share for _, share in channel_fractions(pol, model)), condition)
+        for pol, condition in zip(points, conditions.tolist())
+    ]
     sweep.sort(key=lambda point: (point.condition_number, point.pol.p, point.pol.pl, point.pol.pn))
     return sweep
 
@@ -358,8 +386,42 @@ def discriminability_sweep(
 # -- file formats ----------------------------------------------------------------
 
 
-def _data_rows(handle: Iterable[str]) -> Iterable[str]:
-    return (line for line in handle if line.strip() and not line.lstrip().startswith("#"))
+class _DataLines:
+    """The lines of a CSV source that hold data: no blanks, no '#' comments.
+
+    ``line`` is the file line number of the last line handed out, so a
+    parse error can say where it happened.
+    """
+
+    def __init__(self, source: TextIO, kind: str) -> None:
+        self._source = source
+        self._name = getattr(source, "name", f"{kind} file")
+        self.line = 0
+
+    def __iter__(self) -> Iterator[str]:
+        for number, text in enumerate(self._source, start=1):
+            self.line = number
+            if text.strip() and not text.lstrip().startswith("#"):
+                yield text
+
+    def rows(self, reader: csv.DictReader, parse: Callable[[dict], object]) -> list:
+        """Parse every row; any malformed one raises DomainError naming its line."""
+        parsed = []
+        try:
+            for row in reader:
+                if None in row or None in row.values():
+                    raise DomainError(f"expected {len(reader.fieldnames)} cells")
+                parsed.append(parse(row))
+        except (DomainError, csv.Error) as exc:
+            raise DomainError(f"{self._name}, line {self.line}: {exc}") from None
+        return parsed
+
+
+def _cell(row: dict, column: str, parse: Callable[[str], object]):
+    try:
+        return parse(row[column])
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"column {column}: malformed value {row[column]!r}") from None
 
 
 def read_settings_csv(source: TextIO) -> list[MeasurementSetting]:
@@ -368,21 +430,19 @@ def read_settings_csv(source: TextIO) -> list[MeasurementSetting]:
     Polarizations are parsed as exact rationals ('-1/2' and '0.25' both
     work); comment lines starting with '#' are ignored.
     """
-    reader = csv.DictReader(_data_rows(source))
+    lines = _DataLines(source, "settings")
+    reader = csv.DictReader(lines)
     if reader.fieldnames is None or tuple(reader.fieldnames) != SETTINGS_HEADER:
         raise DomainError(
             f"settings file must have header {','.join(SETTINGS_HEADER)}, "
             f"got {reader.fieldnames}"
         )
-    settings = []
-    for row in reader:
-        pol = PolarizationTriple.of(
-            Fraction(row["p"]), Fraction(row["P_L"]), Fraction(row["P_N"])
-        )
-        settings.append(
-            MeasurementSetting(pol, float(row["exposure"]), float(row["depth"]))
-        )
-    return settings
+
+    def parse(row: dict) -> MeasurementSetting:
+        pol = PolarizationTriple.of(*(_cell(row, name, Fraction) for name in ("p", "P_L", "P_N")))
+        return MeasurementSetting(pol, _cell(row, "exposure", float), _cell(row, "depth", float))
+
+    return lines.rows(reader, parse)
 
 
 def write_settings_csv(settings: Sequence[MeasurementSetting], sink: TextIO) -> None:
@@ -429,27 +489,27 @@ def read_counts_csv(
     source: TextIO, settings: Sequence[MeasurementSetting]
 ) -> list[CountRecord]:
     """Read a counts table; setting_id indexes into the settings list."""
-    reader = csv.DictReader(_data_rows(source))
+    lines = _DataLines(source, "counts")
+    reader = csv.DictReader(lines)
     fields = tuple(reader.fieldnames or ())
     if fields[: len(COUNTS_HEADER)] != COUNTS_HEADER:
         raise DomainError(
             f"counts file must start with header {','.join(COUNTS_HEADER)}, got {fields}"
         )
     channel_columns = [name for name in fields if name.startswith("capture_j")]
-    records = []
-    for row in reader:
-        setting_id = int(row["setting_id"])
+
+    def parse(row: dict) -> CountRecord:
+        setting_id = _cell(row, "setting_id", int)
         if not 0 <= setting_id < len(settings):
             raise DomainError(f"setting_id {setting_id} has no matching setting")
         channel_counts = (
-            tuple(int(row[name]) for name in channel_columns) if channel_columns else None
+            tuple(_cell(row, name, int) for name in channel_columns) if channel_columns else None
         )
-        records.append(
-            CountRecord(
-                settings[setting_id],
-                int(row["capture"]),
-                int(row["transmitted"]),
-                channel_counts,
-            )
+        return CountRecord(
+            settings[setting_id],
+            _cell(row, "capture", int),
+            _cell(row, "transmitted", int),
+            channel_counts,
         )
-    return records
+
+    return lines.rows(reader, parse)

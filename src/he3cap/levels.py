@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .angular import HalfInt
-from .cross_sections import CaptureMode, Channel, Parity, channels_for
+from .cross_sections import Channel, Parity
 from .errors import LevelNotFoundError
 
 #: Energy at which n + 3He capture enters the compound nucleus, keV above
@@ -78,15 +78,6 @@ def builtin_levels() -> tuple[LevelRecord, ...]:
             )
         )
     return tuple(sorted(records, key=lambda record: record.energy_kev))
-
-
-def parity_selection(mode: CaptureMode) -> tuple[Channel, ...]:
-    """Channels allowed by parity: even for ordinary capture, odd for OAM.
-
-    Ordinary s-wave capture conserves the even parity of the entrance
-    configuration; one unit of orbital angular momentum flips it.
-    """
-    return channels_for(mode)
 
 
 def channel_detuning(channel: Channel) -> float:

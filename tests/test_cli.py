@@ -153,6 +153,14 @@ class TestOracleCheck:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "oracle-check"])
+    def test_grid_too_large_is_usage_error(self, capsys, command):
+        # Refused before any point is built, so this returns at once.
+        code, _, err = run(capsys, command, "--grid", "1000000000", "--mode", "oam")
+        assert code == 2
+        assert f"at most {cli.MAX_GRID}" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestSweep:
     def test_csv_sorted_by_condition(self, capsys):
@@ -249,6 +257,34 @@ class TestSimulateAndFit:
         )
         assert code == 0
         assert set(json.loads(out)["K_hat"]) == {"0-", "1-", "2-"}
+
+    @pytest.mark.parametrize(
+        "settings_text, counts_text, where",
+        [
+            (SETTINGS_CSV + "abc,0,0,100000,0.01\n", None, "settings.csv, line 6"),
+            (SETTINGS_CSV + "# short row\n0,0,0,100000\n", None, "settings.csv, line 7"),
+            (SETTINGS_CSV.replace("0,0,0,100000", "0,0,0,inf"), None, "settings.csv, line 2"),
+            (SETTINGS_CSV, "setting_id,capture,transmitted\n0,1,1\n1,x,1\n", "counts.csv, line 3"),
+        ],
+        ids=["bad-rational", "short-row", "infinite-exposure", "bad-count"],
+    )
+    def test_malformed_input_is_one_line_domain_error(
+        self, capsys, tmp_path, settings_text, counts_text, where
+    ):
+        settings_path = tmp_path / "settings.csv"
+        settings_path.write_text(settings_text)
+        if counts_text is None:
+            argv = ["simulate", "--settings", str(settings_path), "--mode", "oam", "--seed", "1"]
+        else:
+            counts_path = tmp_path / "counts.csv"
+            counts_path.write_text(counts_text)
+            argv = ["fit", "--settings", str(settings_path), "--counts", str(counts_path),
+                    "--mode", "oam"]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert where in err
 
     def test_fit_missing_file(self, capsys, settings_file, tmp_path):
         code, _, err = run(

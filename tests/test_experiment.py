@@ -5,7 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from he3cap.cross_sections import CaptureMode, CaptureModel, grid_values
+from he3cap import cross_sections
+from he3cap.cross_sections import (
+    OAM_CHANNELS,
+    CaptureMode,
+    CaptureModel,
+    ChannelCrossSection,
+    channels_for,
+    closed_form,
+    grid_values,
+)
 from he3cap.errors import DegenerateDesignError, DomainError
 from he3cap.exactnum import QuadRational
 from he3cap.experiment import (
@@ -45,6 +54,13 @@ class TestSettingTypes:
         with pytest.raises(DomainError):
             setting(0, 0, 0, depth=-1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_finite_exposure_and_depth(self, value):
+        with pytest.raises(DomainError):
+            setting(0, 0, 0, exposure=value)
+        with pytest.raises(DomainError):
+            setting(0, 0, 0, depth=value)
+
     def test_count_record_validation(self):
         s = setting(0, 0, 0)
         with pytest.raises(DomainError):
@@ -70,6 +86,40 @@ class TestDesignMatrix:
     def test_empty_settings_rejected(self):
         with pytest.raises(DomainError):
             design_matrix([], CaptureMode.OAM)
+
+    # Grid 13 is not dyadic, so its polarization products are inexact in floats.
+    @pytest.mark.parametrize("resolution", [7, 9, 13])
+    @pytest.mark.parametrize("mode", list(CaptureMode))
+    def test_float_path_matches_exact_closed_form(self, resolution, mode):
+        settings = cube_settings(resolution)
+        unit = CaptureModel.uniform(mode)
+        exact = np.array(
+            [
+                [float(closed_form(channel, s.pol, unit).value) for channel in channels_for(mode)]
+                for s in settings
+            ]
+        )
+        design = design_matrix(settings, mode)
+        assert np.max(np.abs(design - exact)) <= 1e-15
+        assert np.all(design >= 0)
+        assert np.array_equal(design == 0, exact == 0)
+
+    def test_float_path_follows_the_closed_form_in_force(self, monkeypatch):
+        settings = cube_settings(3, exposure=1e6, depth=1e-3)
+        model = CaptureModel.uniform(CaptureMode.OAM)
+        design = design_matrix(settings, CaptureMode.OAM)
+        records = simulate_counts(settings, model, 3)
+        original = cross_sections.oam_closed_form
+
+        def wrong_closed_form(channel, pol, model):
+            section = original(channel, pol, model)
+            if channel != OAM_CHANNELS[1]:
+                return section
+            return ChannelCrossSection(channel, section.value * Fraction(11, 10))
+
+        monkeypatch.setattr(cross_sections, "oam_closed_form", wrong_closed_form)
+        assert not np.array_equal(design_matrix(settings, CaptureMode.OAM), design)
+        assert simulate_counts(settings, model, 3) != records
 
 
 class TestFitting:
@@ -296,14 +346,3 @@ class TestFileFormats:
         text = "setting_id,capture,transmitted\n7,1,1\n"
         with pytest.raises(DomainError):
             read_counts_csv(io.StringIO(text), [setting(0, 0, 0)])
-
-
-class TestThreadedEvaluation:
-    def test_results_independent_of_thread_count(self, monkeypatch):
-        settings = cube_settings(3, exposure=1e4, depth=0.01)
-        model = CaptureModel.uniform(CaptureMode.OAM)
-        serial_counts = simulate_counts(settings, model, 31)
-        serial_sweep = discriminability_sweep(3, CaptureMode.OAM)
-        monkeypatch.setenv("HE3CAP_THREADS", "4")
-        assert simulate_counts(settings, model, 31) == serial_counts
-        assert discriminability_sweep(3, CaptureMode.OAM) == serial_sweep

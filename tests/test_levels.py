@@ -11,6 +11,7 @@ from he3cap.cross_sections import (
     CaptureMode,
     Channel,
     Parity,
+    channels_for,
 )
 from he3cap.errors import LevelNotFoundError
 from he3cap.levels import (
@@ -20,7 +21,6 @@ from he3cap.levels import (
     channel_detuning,
     check_kinematics,
     level_data_text,
-    parity_selection,
 )
 
 # Frozen digest of the shipped reference table; update only on a deliberate
@@ -88,18 +88,18 @@ class TestChannelDetuning:
 
 class TestParitySelection:
     def test_ordinary_channels_are_even(self):
-        channels = parity_selection(CaptureMode.ORDINARY)
+        channels = channels_for(CaptureMode.ORDINARY)
         assert channels == ORDINARY_CHANNELS
         assert all(channel.parity is Parity.EVEN for channel in channels)
 
     def test_oam_channels_are_odd(self):
-        channels = parity_selection(CaptureMode.OAM)
+        channels = channels_for(CaptureMode.OAM)
         assert len(channels) == 3
         assert all(channel.parity is Parity.ODD for channel in channels)
 
     def test_unique_j_per_mode(self):
         for mode in CaptureMode:
-            channels = parity_selection(mode)
+            channels = channels_for(mode)
             assert len({channel.j_final for channel in channels}) == len(channels)
 
 
