@@ -35,6 +35,7 @@ from .errors import (
     LevelNotFoundError,
     ModeMismatchError,
 )
+from .exactnum import parse_rational
 from .experiment import (
     discriminability_sweep,
     fit_strengths,
@@ -86,7 +87,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"malformed rational {text!r}") from None
 
@@ -287,30 +288,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = discriminability_sweep(args.grid, args.mode, model)
     channels = channels_for(args.mode)
     headers = ["p", "P_L", "P_N"] + [f"frac_j{ch.j_final}" for ch in channels] + ["condition"]
-    rows = []
-    for point in points:
-        rows.append(
+    # Rendering every fraction to decimal dominates a large sweep, so only
+    # the form that _emit writes is built.
+    rows, payload = [], {}
+    if args.json:
+        payload = {
+            "mode": args.mode.value,
+            "grid": args.grid,
+            "points": [
+                {
+                    "p": str(point.pol.p),
+                    "P_L": str(point.pol.pl),
+                    "P_N": str(point.pol.pn),
+                    "fractions": {
+                        ch.label: fraction.decimal_str()
+                        for ch, fraction in zip(channels, point.fractions)
+                    },
+                    "condition_number": point.condition_number,
+                }
+                for point in points
+            ],
+        }
+    else:
+        rows = [
             [str(point.pol.p), str(point.pol.pl), str(point.pol.pn)]
             + [fraction.decimal_str() for fraction in point.fractions]
             + [f"{point.condition_number:.6g}"]
-        )
-    payload = {
-        "mode": args.mode.value,
-        "grid": args.grid,
-        "points": [
-            {
-                "p": str(point.pol.p),
-                "P_L": str(point.pol.pl),
-                "P_N": str(point.pol.pn),
-                "fractions": {
-                    ch.label: fraction.decimal_str()
-                    for ch, fraction in zip(channels, point.fractions)
-                },
-                "condition_number": point.condition_number,
-            }
             for point in points
-        ],
-    }
+        ]
     with _sink(args) as sink:
         _emit(args, sink, headers, rows, payload)
     return EXIT_OK

@@ -10,7 +10,13 @@ Two independent evaluation routes are kept side by side on purpose:
   coupling coefficient, so it stays independent of the oracle;
 * an oracle that performs the full substate sum over occupation
   probabilities and Clebsch-Gordan amplitudes, with coherent addition of
-  the two intermediate total-angular-momentum paths.
+  the two intermediate total-angular-momentum paths.  It comes in two
+  parts.  A substate table per channel holds the exact |A|^2 of every
+  substate tuple, built from the coupling coefficients alone; it does not
+  depend on the polarizations, so it is built once per channel.  Each
+  oracle call contracts that table with the occupation probabilities
+  (1 +- P)/2 of the point.  Neither part reads the closed-form table, and
+  every point asked for is summed afresh.
 
 Everything is exact rational / Q(sqrt(2)) arithmetic, so agreement between
 the two routes is decided by field equality, never by tolerance.  The
@@ -23,12 +29,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
-from .angular import HalfInt, cg
+from .angular import HalfInt, cg, projections
 from .errors import DomainError, ModeMismatchError
 from .exactnum import QuadRational, RationalLike, as_fraction, sqrt_product
-from .polarization import PolarizationTriple, oam_distribution, spin_half_distribution
+from .polarization import (
+    PolarizationTriple,
+    SubstateDistribution,
+    oam_distribution,
+    spin_half_distribution,
+)
 
 
 class Parity(enum.Enum):
@@ -224,62 +236,37 @@ def oam_closed_form(
     return _tabulated(_OAM_BRACKETS, channel, pol, model)
 
 
-def ordinary_oracle(
-    channel: Channel, pol: PolarizationTriple, model: CaptureModel
-) -> ChannelCrossSection:
-    """Brute-force substate sum for ordinary capture.
+# One substate-table entry: the projections, then |A|^2 = a + b*sqrt(2).
+_Substates = tuple[tuple[tuple[HalfInt, ...], Fraction, Fraction], ...]
 
-    sigma = K * sum over (m_N, mu) of p(m_N) p(mu) |<j' m'|1/2 m_N; 1/2 mu>|^2.
-    """
-    _require_mode(model, CaptureMode.ORDINARY, "ordinary_oracle")
-    if channel not in ORDINARY_CHANNELS:
-        raise ModeMismatchError(f"channel {channel.label} is not an ordinary capture channel")
-    nuclear = spin_half_distribution(pol.pn)
-    spin = spin_half_distribution(pol.p)
-    j_final = channel.j_final
 
-    accumulated = Fraction(0)
-    for (m_nuclear, w_nuclear), (m_spin, w_spin) in product(nuclear, spin):
-        weight = w_nuclear * w_spin
-        if weight == 0:
-            continue
+@lru_cache(maxsize=None)  # one table per channel, five channels in all
+def _ordinary_substates(channel: Channel) -> _Substates:
+    """|<j'' m''|1/2 m_N; 1/2 mu>|^2 for every (m_N, mu) where it is nonzero."""
+    table = []
+    for m_nuclear, m_spin in product(projections(_HE3_SPIN), projections(_NEUTRON_SPIN)):
         m_final = m_nuclear + m_spin
-        if abs(m_final.twice) > j_final.twice:
+        if abs(m_final.twice) > channel.j_final.twice:
             continue
-        amplitude = cg(_HE3_SPIN, m_nuclear, _NEUTRON_SPIN, m_spin, j_final, m_final)
-        accumulated += weight * amplitude.square()
-    value = QuadRational.from_rational(model.strength(channel) * accumulated)
-    return ChannelCrossSection(channel, value)
+        amplitude = cg(_HE3_SPIN, m_nuclear, _NEUTRON_SPIN, m_spin, channel.j_final, m_final)
+        squared = amplitude.square()
+        if squared:
+            table.append(((m_nuclear, m_spin), squared, Fraction(0)))
+    return tuple(table)
 
 
-def oam_oracle(
-    channel: Channel, pol: PolarizationTriple, model: CaptureModel
-) -> ChannelCrossSection:
-    """Brute-force substate sum for OAM capture, with path interference.
+@lru_cache(maxsize=None)  # one table per channel, five channels in all
+def _oam_substates(channel: Channel) -> _Substates:
+    """|A|^2 of the two coherent j' paths for every (m_N, m_L, mu) where it is nonzero.
 
-    For each occupied (m_N, m_L, mu) the amplitude into the compound state
-    (j'', m'') adds the j' = 1/2 and j' = 3/2 routes coherently:
-
-        A = sum over j' of <j'' m''|j' m'; 1/2 m_N> <j' m'|1 m_L; 1/2 mu>
-
-    and sigma = K * sum of p(m_N) p(m_L) p(mu) |A|^2.  The |A|^2 expansion
-    runs through sqrt_product, so the result stays in Q + Q*sqrt(2) exactly.
+    A = sum over j' of <j'' m''|j' m'; 1/2 m_N> <j' m'|1 m_L; 1/2 mu>, and
+    |A|^2 expands through sqrt_product, so it stays in Q + Q*sqrt(2) exactly.
     """
-    _require_mode(model, CaptureMode.OAM, "oam_oracle")
-    if channel not in OAM_CHANNELS:
-        raise ModeMismatchError(f"channel {channel.label} is not an OAM capture channel")
-    nuclear = spin_half_distribution(pol.pn)
-    orbital = oam_distribution(pol.pl)
-    spin = spin_half_distribution(pol.p)
     j_final = channel.j_final
-
-    total = QuadRational.zero()
-    for (m_nuclear, w_nuclear), (m_orbital, w_orbital), (m_spin, w_spin) in product(
-        nuclear, orbital, spin
+    table = []
+    for m_nuclear, m_orbital, m_spin in product(
+        projections(_HE3_SPIN), projections(_OAM_MOMENTUM), projections(_NEUTRON_SPIN)
     ):
-        weight = w_nuclear * w_orbital * w_spin
-        if weight == 0:
-            continue
         m_coupled = m_orbital + m_spin
         m_final = m_coupled + m_nuclear
         if abs(m_final.twice) > j_final.twice:
@@ -297,8 +284,77 @@ def oam_oracle(
         for left in amplitudes:
             for right in amplitudes:
                 squared += sqrt_product(left, right)
-        total += squared * weight
-    return ChannelCrossSection(channel, total * model.strength(channel))
+        if not squared.is_zero:
+            table.append(((m_nuclear, m_orbital, m_spin), squared.a, squared.b))
+    return tuple(table)
+
+
+def _contract(
+    table: _Substates, distributions: tuple[SubstateDistribution, ...], strength: Fraction
+) -> QuadRational:
+    """K * sum over the table of the occupation weight times |A|^2.
+
+    The distributions are in the order of each entry's projections.  The
+    joint occupation is built for occupied substates only, so an entry that
+    is never occupied (m_L = 0) is skipped.  The rational and sqrt(2) parts
+    are summed apart and K multiplies them once.
+    """
+    first, *rest = distributions
+    weights = {(m,): w for m, w in first if w}
+    for distribution in rest:
+        weights = {key + (m,): w * v for key, w in weights.items() for m, v in distribution if v}
+    rational = root = Fraction(0)
+    for substates, a, b in table:
+        weight = weights.get(substates)
+        if weight is not None:
+            rational += weight * a
+            if b:
+                root += weight * b
+    return QuadRational(strength * rational, strength * root)
+
+
+def ordinary_oracle(
+    channel: Channel, pol: PolarizationTriple, model: CaptureModel
+) -> ChannelCrossSection:
+    """Brute-force substate sum for ordinary capture.
+
+    sigma = K * sum over (m_N, mu) of p(m_N) p(mu) |<j' m'|1/2 m_N; 1/2 mu>|^2.
+    The |CG|^2 table does not depend on the polarizations and is built once
+    per channel; each call contracts it with the occupations (1 +- P)/2.
+    """
+    _require_mode(model, CaptureMode.ORDINARY, "ordinary_oracle")
+    if channel not in ORDINARY_CHANNELS:
+        raise ModeMismatchError(f"channel {channel.label} is not an ordinary capture channel")
+    distributions = (spin_half_distribution(pol.pn), spin_half_distribution(pol.p))
+    value = _contract(_ordinary_substates(channel), distributions, model.strength(channel))
+    return ChannelCrossSection(channel, value)
+
+
+def oam_oracle(
+    channel: Channel, pol: PolarizationTriple, model: CaptureModel
+) -> ChannelCrossSection:
+    """Brute-force substate sum for OAM capture, with path interference.
+
+    For each occupied (m_N, m_L, mu) the amplitude into the compound state
+    (j'', m'') adds the j' = 1/2 and j' = 3/2 routes coherently:
+
+        A = sum over j' of <j'' m''|j' m'; 1/2 m_N> <j' m'|1 m_L; 1/2 mu>
+
+    and sigma = K * sum of p(m_N) p(m_L) p(mu) |A|^2.  Only the occupations
+    depend on the polarizations, so the exact |A|^2 table is built once per
+    channel from the coupling coefficients and each call contracts it with
+    the occupations.  The table never reads the closed forms.
+    """
+    _require_mode(model, CaptureMode.OAM, "oam_oracle")
+    if channel not in OAM_CHANNELS:
+        raise ModeMismatchError(f"channel {channel.label} is not an OAM capture channel")
+    distributions = (
+        spin_half_distribution(pol.pn),
+        oam_distribution(pol.pl),
+        spin_half_distribution(pol.p),
+    )
+    value = _contract(_oam_substates(channel), distributions, model.strength(channel))
+    return ChannelCrossSection(channel, value)
 
 
 def closed_form(

@@ -10,6 +10,7 @@ a float comparison; floats only appear at the display boundary.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -19,11 +20,31 @@ from .errors import UnsupportedRadicandError
 
 RationalLike = Union[int, Fraction, str]
 
+# Fraction expands a decimal exponent into an exact power of ten, so a text
+# such as '1e-999999999' would take hours to parse.  No polarization or
+# strength needs an exponent anywhere near this bound.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse '3', '-1/2', '0.25' or '2.5e-3' exactly.
+
+    Raises ValueError for a malformed text or an exponent beyond
+    MAX_EXPONENT in magnitude, and ZeroDivisionError for a zero denominator.
+    """
+    match = _EXPONENT.search(text)
+    if match and abs(int(match.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT} in magnitude")
+    return Fraction(text)
+
 
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce to an exact Fraction; floats are rejected to keep paths exact."""
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, Fraction, or a string like '1/3' or '0.25'")
+    if isinstance(value, str):
+        return parse_rational(value)
     return Fraction(value)
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -43,7 +42,7 @@ from .cross_sections import (
     grid_values,
 )
 from .errors import DegenerateDesignError, DomainError
-from .exactnum import QuadRational
+from .exactnum import QuadRational, parse_rational
 from .polarization import PolarizationTriple
 
 SETTINGS_HEADER = ("p", "P_L", "P_N", "exposure", "depth")
@@ -298,6 +297,10 @@ def fit_strengths(
     return _weighted_nnls(stacked, counts, weights, channels)
 
 
+# numpy draws Poisson counts only for means up to about 9.2e18.
+MAX_SIMULATED_EXPOSURE = 1e18
+
+
 def simulate_counts(
     settings: Sequence[MeasurementSetting], model: CaptureModel, seed: int
 ) -> list[CountRecord]:
@@ -306,6 +309,13 @@ def simulate_counts(
     Each setting draws from an independent generator derived from
     (seed, setting index), so results do not depend on evaluation order.
     """
+    for index, setting in enumerate(settings):
+        # Both Poisson means are at most the exposure.
+        if setting.exposure > MAX_SIMULATED_EXPOSURE:
+            raise DomainError(
+                f"setting {index}: exposure {setting.exposure:g} is above "
+                f"{MAX_SIMULATED_EXPOSURE:g}, the largest that can be simulated"
+            )
     channels = channels_for(model.mode)
     strengths = np.array([float(strength) for strength in model.strengths])
     sigma_rows = _unit_brackets([setting.pol for setting in settings], model.mode) * strengths
@@ -399,22 +409,41 @@ class _DataLines:
         self.line = 0
 
     def __iter__(self) -> Iterator[str]:
-        for number, text in enumerate(self._source, start=1):
-            self.line = number
-            if text.strip() and not text.lstrip().startswith("#"):
-                yield text
+        try:
+            for number, text in enumerate(self._source, start=1):
+                self.line = number
+                if text.strip() and not text.lstrip().startswith("#"):
+                    yield text
+        except UnicodeDecodeError as exc:
+            # A text file decodes a block at a time, and reads the next block
+            # only once every complete line before it has been handed out.
+            # The bad byte's line is the next one plus the newlines ahead of
+            # it in the block.
+            self.line += 1 + exc.object.count(b"\n", 0, exc.start)
+            raise DomainError(f"not UTF-8 text ({exc.reason})") from None
+
+    def fieldnames(self, reader: csv.DictReader) -> list[str] | None:
+        """The header row; a line that cannot be read raises DomainError naming it."""
+        return self._located(lambda: reader.fieldnames)
 
     def rows(self, reader: csv.DictReader, parse: Callable[[dict], object]) -> list:
         """Parse every row; any malformed one raises DomainError naming its line."""
-        parsed = []
-        try:
+
+        def parse_all() -> list:
+            parsed = []
             for row in reader:
                 if None in row or None in row.values():
                     raise DomainError(f"expected {len(reader.fieldnames)} cells")
                 parsed.append(parse(row))
+            return parsed
+
+        return self._located(parse_all)
+
+    def _located(self, read: Callable[[], object]):
+        try:
+            return read()
         except (DomainError, csv.Error) as exc:
             raise DomainError(f"{self._name}, line {self.line}: {exc}") from None
-        return parsed
 
 
 def _cell(row: dict, column: str, parse: Callable[[str], object]):
@@ -432,14 +461,14 @@ def read_settings_csv(source: TextIO) -> list[MeasurementSetting]:
     """
     lines = _DataLines(source, "settings")
     reader = csv.DictReader(lines)
-    if reader.fieldnames is None or tuple(reader.fieldnames) != SETTINGS_HEADER:
+    fields = lines.fieldnames(reader)
+    if fields is None or tuple(fields) != SETTINGS_HEADER:
         raise DomainError(
-            f"settings file must have header {','.join(SETTINGS_HEADER)}, "
-            f"got {reader.fieldnames}"
+            f"settings file must have header {','.join(SETTINGS_HEADER)}, got {fields}"
         )
 
     def parse(row: dict) -> MeasurementSetting:
-        pol = PolarizationTriple.of(*(_cell(row, name, Fraction) for name in ("p", "P_L", "P_N")))
+        pol = PolarizationTriple.of(*(_cell(row, name, parse_rational) for name in ("p", "P_L", "P_N")))
         return MeasurementSetting(pol, _cell(row, "exposure", float), _cell(row, "depth", float))
 
     return lines.rows(reader, parse)
@@ -491,7 +520,7 @@ def read_counts_csv(
     """Read a counts table; setting_id indexes into the settings list."""
     lines = _DataLines(source, "counts")
     reader = csv.DictReader(lines)
-    fields = tuple(reader.fieldnames or ())
+    fields = tuple(lines.fieldnames(reader) or ())
     if fields[: len(COUNTS_HEADER)] != COUNTS_HEADER:
         raise DomainError(
             f"counts file must start with header {','.join(COUNTS_HEADER)}, got {fields}"

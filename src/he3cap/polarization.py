@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .angular import HalfInt
 from .errors import DomainError
@@ -78,6 +79,11 @@ class SubstateDistribution:
         return weighted / j.as_fraction
 
 
+# The oracle asks for the same few distributions thousands of times per grid.
+# Both functions are pure and return frozen objects; typed=True keeps a float
+# argument from hitting an entry cached under an equal Fraction, so floats
+# are still rejected.
+@lru_cache(maxsize=256, typed=True)
 def spin_half_distribution(polarization: RationalLike) -> SubstateDistribution:
     """Spin-1/2 populations {+1/2: (1+P)/2, -1/2: (1-P)/2}."""
     value = _checked_polarization(polarization, "polarization")
@@ -89,6 +95,7 @@ def spin_half_distribution(polarization: RationalLike) -> SubstateDistribution:
     )
 
 
+@lru_cache(maxsize=256, typed=True)
 def oam_distribution(polarization: RationalLike) -> SubstateDistribution:
     """L=1 populations over m = +1, -1; the m = 0 substate is never occupied.
 

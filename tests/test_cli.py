@@ -1,8 +1,14 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import he3cap.cli as cli
 from he3cap.cross_sections import (
@@ -20,6 +26,10 @@ SETTINGS_CSV = """p,P_L,P_N,exposure,depth
 -1/2,1/2,-1/2,100000,0.01
 1,-1,1,100000,0.01
 """
+
+
+def _as_bytes(data: str | bytes) -> bytes:
+    return data if isinstance(data, bytes) else data.encode()
 
 
 def run(capsys, *argv):
@@ -92,6 +102,12 @@ class TestXsec:
         code, _, err = run(capsys, "xsec", "--mode", "oam", "--p", "3/2")
         assert code == 1
         assert "p must lie in [-1, 1]" in err
+
+    def test_huge_exponent_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "xsec", "--mode", "oam", "--p", "1e-99999999")
+        assert code == 2
+        assert "malformed rational" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "xsec", "--mode", "oam", "--bogus", "1")
@@ -265,19 +281,30 @@ class TestSimulateAndFit:
             (SETTINGS_CSV + "# short row\n0,0,0,100000\n", None, "settings.csv, line 7"),
             (SETTINGS_CSV.replace("0,0,0,100000", "0,0,0,inf"), None, "settings.csv, line 2"),
             (SETTINGS_CSV, "setting_id,capture,transmitted\n0,1,1\n1,x,1\n", "counts.csv, line 3"),
+            (SETTINGS_CSV.encode() + b"\xff,0,0,1,1\n", None, "settings.csv, line 6"),
+            (SETTINGS_CSV + "1e-9999999,0,0,1,1\n", None, "settings.csv, line 6"),
+            (SETTINGS_CSV, b"setting_id,capture,transmitted\n0,1,\xfe\n", "counts.csv, line 2"),
         ],
-        ids=["bad-rational", "short-row", "infinite-exposure", "bad-count"],
+        ids=[
+            "bad-rational",
+            "short-row",
+            "infinite-exposure",
+            "bad-count",
+            "not-utf8",
+            "huge-exponent",
+            "not-utf8-counts",
+        ],
     )
     def test_malformed_input_is_one_line_domain_error(
         self, capsys, tmp_path, settings_text, counts_text, where
     ):
         settings_path = tmp_path / "settings.csv"
-        settings_path.write_text(settings_text)
+        settings_path.write_bytes(_as_bytes(settings_text))
         if counts_text is None:
             argv = ["simulate", "--settings", str(settings_path), "--mode", "oam", "--seed", "1"]
         else:
             counts_path = tmp_path / "counts.csv"
-            counts_path.write_text(counts_text)
+            counts_path.write_bytes(_as_bytes(counts_text))
             argv = ["fit", "--settings", str(settings_path), "--counts", str(counts_path),
                     "--mode", "oam"]
         code, _, err = run(capsys, *argv)
@@ -296,6 +323,52 @@ class TestSimulateAndFit:
         )
         assert code == 1
         assert err.startswith("error:")
+
+
+def _input_files(header: bytes):
+    """Arbitrary bytes, and CSV-like text behind a valid header so rows get parsed."""
+    csv_like = st.text(alphabet="0123456789-+./eE_,#x \t\r\n\x00", max_size=200)
+    return st.binary(max_size=200) | csv_like.map(lambda text: header + text.encode())
+
+
+def _main_on_files(files: dict[str, bytes], argv: list[str]) -> int:
+    """Run cli.main with each file written to a fresh directory; '{name}' in argv is its path."""
+    with tempfile.TemporaryDirectory() as directory:
+        for name, data in files.items():
+            (Path(directory) / name).write_bytes(data)
+        argv = [arg.format(**{name: str(Path(directory) / name) for name in files}) for arg in argv]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().strip().splitlines()) == 1
+    return code
+
+
+class TestArbitraryInputFiles:
+    """No input file makes an exception escape cli.main or hang it."""
+
+    @given(_input_files(b"p,P_L,P_N,exposure,depth\n"))
+    @example(b"p,P_L,P_N,exposure,depth\n\xff,0,0,1,1\n")
+    @example(b"p,P_L,P_N,exposure,depth\n1e-9999999,0,0,1,1\n")
+    @settings(max_examples=150, deadline=2000)
+    def test_settings_file(self, data):
+        _main_on_files(
+            {"settings": data},
+            ["simulate", "--settings", "{settings}", "--mode", "oam", "--seed", "1"],
+        )
+
+    @given(_input_files(b"setting_id,capture,transmitted\n"))
+    @example(b"setting_id,capture,transmitted\n0,\xff,1\n")
+    @example(b"setting_id,capture,transmitted\n0,1e-9999999,1\n")
+    @settings(max_examples=150, deadline=2000)
+    def test_counts_file(self, data):
+        _main_on_files(
+            {"settings": SETTINGS_CSV.encode(), "counts": data},
+            ["fit", "--settings", "{settings}", "--counts", "{counts}", "--mode", "oam"],
+        )
 
 
 class TestLevelsAndKinematics:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import he3cap.cross_sections as cross_sections
 from he3cap.cross_sections import (
     OAM_CHANNELS,
     ORDINARY_CHANNELS,
@@ -180,6 +181,49 @@ class TestOracles:
             closed_form(SINGLET, pol, UNIT_ORDINARY).value
             == ordinary_closed_form(SINGLET, pol, UNIT_ORDINARY).value
         )
+
+
+class TestTabledOracle:
+    """The oracle contracts a per-channel |A|^2 table; it still decides every point."""
+
+    EXTENDED_GRID = grid_values(5) + (Fraction(1, 3), Fraction(-2, 7))
+
+    @pytest.fixture
+    def fresh_tables(self):
+        cross_sections._oam_substates.cache_clear()
+        yield
+        cross_sections._oam_substates.cache_clear()
+
+    @pytest.mark.parametrize(
+        "model",
+        [CaptureModel.oam(Fraction(7, 3), 2, Fraction(1, 2)), CaptureModel.ordinary(1, 3)],
+        ids=["oam", "ordinary"],
+    )
+    def test_field_equal_to_closed_forms_on_extended_cube(self, model):
+        for p, pl, pn in product(self.EXTENDED_GRID, repeat=3):
+            pol = PolarizationTriple(p, pl, pn)
+            for channel in model.channels:
+                assert oracle(channel, pol, model).value == closed_form(channel, pol, model).value
+
+    def test_corrupted_table_entry_is_reported(self, fresh_tables, monkeypatch):
+        original = cross_sections._oam_substates
+
+        def corrupted(channel):
+            table = original(channel)
+            if channel != J1:
+                return table
+            # Scale the first occupied interference entry (m_L != 0, b != 0).
+            index = next(
+                i for i, (substates, _, b) in enumerate(table) if substates[1].twice and b
+            )
+            substates, a, b = table[index]
+            scaled = (substates, a * Fraction(11, 10), b * Fraction(11, 10))
+            return table[:index] + (scaled,) + table[index + 1 :]
+
+        monkeypatch.setattr(cross_sections, "_oam_substates", corrupted)
+        report = compare_with_oracle(CaptureMode.OAM, 3)
+        assert not report.agreement
+        assert {item.channel for item in report.discrepancies} == {J1}
 
 
 class TestClosedFormEqualsOracle:

@@ -223,6 +223,11 @@ class TestSimulation:
         # Transmission mean equals the exposure; allow 6 sigma of Poisson noise.
         assert np.all(np.abs(transmitted - 2e4) < 6 * math.sqrt(2e4))
 
+    def test_exposure_beyond_the_poisson_sampler_is_domain_error(self):
+        settings = [setting(0, 0, 0), setting(0, 0, 0, exposure=1e99)]
+        with pytest.raises(DomainError, match="setting 1: exposure"):
+            simulate_counts(settings, CaptureModel.uniform(CaptureMode.OAM), 1)
+
     def test_aligned_corner_captures_only_into_j2(self):
         settings = [setting(1, 1, 1, exposure=1e5, depth=0.01)]
         record = simulate_counts(settings, CaptureModel.uniform(CaptureMode.OAM), 99)[0]

@@ -56,6 +56,14 @@ class TestSpinHalfDistribution:
         assert dist.probability(HalfInt(1)) == Fraction(3, 4)
         assert dist.probability(HalfInt(-1)) == Fraction(1, 4)
 
+    def test_cached_fraction_does_not_admit_an_equal_float(self):
+        spin_half_distribution(Fraction(1, 2))
+        oam_distribution(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            spin_half_distribution(0.5)
+        with pytest.raises(TypeError):
+            oam_distribution(0.5)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             spin_half_distribution(Fraction(3, 2))
