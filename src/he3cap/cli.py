@@ -96,21 +96,32 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(part) for part in text.split(","))
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 # A grid of N points per axis visits up to N^3 points; 100 caps that at 10^6.
 MAX_GRID = 100
 
 
 def _grid_size(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _integer(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"grid resolution must be at least 2, got {value}")
     if value > MAX_GRID:
         raise argparse.ArgumentTypeError(
             f"grid resolution must be at most {MAX_GRID} (10^6 points), got {value}"
         )
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
     return value
 
 
@@ -476,7 +487,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--settings", required=True, metavar="CSV")
     sub.add_argument("--mode", type=_mode, required=True)
     sub.add_argument("--k", type=_rational_list, default=None, metavar="K0,K1,...")
-    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--seed", type=_seed, required=True)
     sub.add_argument("--channel-resolved", action="store_true")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of counts CSV")
     _add_out_flag(sub)

@@ -27,10 +27,13 @@ package adjudicates what the coupling algebra actually supports.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
+from typing import Sequence
 
 from .angular import HalfInt, cg, projections
 from .errors import DomainError, ModeMismatchError
@@ -386,15 +389,103 @@ def total_cross_section(pol: PolarizationTriple, model: CaptureModel) -> QuadRat
     return sections_total(channel_cross_sections(pol, model))
 
 
+# Anchors at which u_coefficients reads the closed forms.  Their u-vectors
+# are 0, (1, 1, 1), and (1, 1, 1) with u1, u2 or u3 knocked back to 0, so a
+# channel's value at the first is its constant term and the differences from
+# the second give the slopes.
+_ANCHORS = (
+    PolarizationTriple.of(1, 1, 1),
+    PolarizationTriple.of(0, 0, 0),
+    PolarizationTriple.of(1, 1, 0),
+    PolarizationTriple.of(1, 0, 1),
+    PolarizationTriple.of(0, 1, 1),
+)
+
+
+def u_coefficients(
+    mode: CaptureMode,
+) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Each channel's (c0, c1, c2, c3) at K = 1: sigma = c0 + c1*u1 + c2*u2 + c3*u3.
+
+    Returned as integer numerators of the rational and the sqrt(2) parts,
+    one row of four per channel, and one common denominator per channel.
+    The coefficients are read off closed_form at call time, so callers
+    evaluate whatever closed form is in force rather than a copy of it.
+    """
+    unit = CaptureModel.uniform(mode)
+    rational, root, denominators = [], [], []
+    for channel in channels_for(mode):
+        origin, ones, *knocked = (closed_form(channel, pol, unit).value for pol in _ANCHORS)
+        row = [origin] + [ones - value for value in knocked]
+        denominator = math.lcm(*(part.denominator for c in row for part in (c.a, c.b)))
+        rational.append([c.a.numerator * (denominator // c.a.denominator) for c in row])
+        root.append([c.b.numerator * (denominator // c.b.denominator) for c in row])
+        denominators.append(denominator)
+    return rational, root, denominators
+
+
+def channel_fraction_rows(
+    pols: Sequence[PolarizationTriple], model: CaptureModel
+) -> list[tuple[QuadRational, ...]]:
+    """Exact share of each channel in the total cross-section, one row per point.
+
+    Channel c is (n_c/m_c) * (R_c + S_c*sqrt(2)) . U / (D_c * d^2), with
+    R_c, S_c and D_c from u_coefficients, K_c = n_c/m_c, d the lcm of the
+    point's three denominators and U = (d^2, d^2*u1, d^2*u2, d^2*u3) in
+    integers.  One integer weight per channel brings every channel to a
+    common scale, which cancels in the shares, so sigma_c is proportional to
+    a_c + b_c*sqrt(2) with integers a_c, b_c.  With A and B their sums, each
+    share is ((a_c*A - 2*b_c*B) + (b_c*A - a_c*B)*sqrt(2)) / (A^2 - 2*B^2),
+    and only those final Fractions are built.  A^2 - 2*B^2 vanishes exactly
+    when the total does, since sqrt(2) is irrational; that raises
+    DomainError naming the first such point.
+    """
+    rational, root, denominators = u_coefficients(model.mode)
+    scale = math.lcm(
+        *(k.denominator * denominator for k, denominator in zip(model.strengths, denominators))
+    )
+    weights = [
+        k.numerator * (scale // (k.denominator * denominator))
+        for k, denominator in zip(model.strengths, denominators)
+    ]
+    scaled_r = [[w * c for c in row] for w, row in zip(weights, rational)]
+    scaled_s = [[w * c for c in row] for w, row in zip(weights, root)]
+    total_r = [sum(column) for column in zip(*scaled_r)]
+    total_s = [sum(column) for column in zip(*scaled_s)]
+
+    shares = []
+    for pol in pols:
+        p, pl, pn = pol.p, pol.pl, pol.pn
+        d = math.lcm(p.denominator, pl.denominator, pn.denominator)
+        x = p.numerator * (d // p.denominator)
+        y = pl.numerator * (d // pl.denominator)
+        z = pn.numerator * (d // pn.denominator)
+        dd = d * d
+        u = (dd, dd - x * y, dd - x * z, dd - y * z)
+        big_a = sum(map(mul, total_r, u))
+        big_b = sum(map(mul, total_s, u))
+        norm = big_a * big_a - 2 * big_b * big_b
+        if norm == 0:
+            raise DomainError(
+                f"total cross-section is zero at {pol}; channel fractions are undefined"
+            )
+        row = []
+        for r, s in zip(scaled_r, scaled_s):
+            a, b = sum(map(mul, r, u)), sum(map(mul, s, u))
+            row.append(
+                QuadRational(
+                    Fraction(a * big_a - 2 * b * big_b, norm), Fraction(b * big_a - a * big_b, norm)
+                )
+            )
+        shares.append(tuple(row))
+    return shares
+
+
 def channel_fractions(
     pol: PolarizationTriple, model: CaptureModel
 ) -> tuple[tuple[Channel, QuadRational], ...]:
     """Exact share of each channel in the total cross-section."""
-    sections = channel_cross_sections(pol, model)
-    total = sections_total(sections)
-    if total.is_zero:
-        raise DomainError("total cross-section is zero; channel fractions are undefined")
-    return tuple((section.channel, section.value / total) for section in sections)
+    return tuple(zip(model.channels, channel_fraction_rows([pol], model)[0]))
 
 
 # -- reconciliation of closed forms against the oracle -------------------------

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import UnsupportedRadicandError
@@ -63,6 +64,16 @@ def _fraction_to_decimal(q: Fraction) -> Decimal:
     return Decimal(q.numerator) / Decimal(q.denominator)
 
 
+# Rendering uses two precisions (decimal_str's default and float()), so a
+# few entries cover every caller.
+@lru_cache(maxsize=8)
+def _sqrt2(precision: int) -> Decimal:
+    """sqrt(2) correctly rounded to the given number of digits."""
+    with localcontext() as ctx:
+        ctx.prec = precision
+        return Decimal(2).sqrt()
+
+
 def _round_to_significant(value: Decimal, significant_digits: int) -> str:
     """Round to the given number of significant digits; plain positional form.
 
@@ -71,8 +82,8 @@ def _round_to_significant(value: Decimal, significant_digits: int) -> str:
     """
     with localcontext() as ctx:
         ctx.prec = significant_digits
-        value = +value
-    return format(value.normalize(), "f")
+        # normalize() rounds to the context precision, so it must run inside.
+        return format(value.normalize(), "f")
 
 
 @dataclass(frozen=True)
@@ -201,8 +212,12 @@ class QuadRational:
     b: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        # Parts that already are Fractions, as every arithmetic result is,
+        # are kept rather than copied.
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
 
     @classmethod
     def zero(cls) -> QuadRational:
@@ -337,7 +352,7 @@ class QuadRational:
     def _decimal(self, precision: int) -> Decimal:
         with localcontext() as ctx:
             ctx.prec = precision
-            return _fraction_to_decimal(self.a) + _fraction_to_decimal(self.b) * Decimal(2).sqrt()
+            return _fraction_to_decimal(self.a) + _fraction_to_decimal(self.b) * _sqrt2(precision)
 
     def decimal_str(self, significant_digits: int = 15) -> str:
         """Correctly rounded decimal rendering at the given precision."""

@@ -7,13 +7,16 @@ the fit (channel-summed or channel-resolved), a Poisson transmission
 simulator for synthetic data, and a sweep that ranks candidate polarization
 settings by how well they complete a design.
 
-Float consumers (the design matrix, the simulator's cross-sections, the
-sweep's bracket rows) do not evaluate exact closed forms point by point.
-Each channel is affine in u = (1 - p*P_L, 1 - p*P_N, 1 - P_L*P_N), so its
-four u-basis coefficients are read off closed_form at five anchor points
-when a batch is evaluated, and the whole batch is one matrix product.
-Entries within roundoff of zero are re-decided exactly, so a closed channel
-stays exactly closed and no cross-section comes out negative.
+Nothing here evaluates exact closed forms point by point.  Each channel is
+affine in u = (1 - p*P_L, 1 - p*P_N, 1 - P_L*P_N), so its four u-basis
+coefficients, integer numerators over one denominator per channel, are read
+off closed_form at five anchor points when a batch is evaluated
+(cross_sections.u_coefficients).  Float consumers (the design matrix, the
+simulator's cross-sections, the sweep's bracket rows) turn them into one
+matrix product; entries within roundoff of zero are re-decided exactly, so a
+closed channel stays exactly closed and no cross-section comes out negative.
+The sweep's exact channel fractions come from the same integers, as one
+integer batch over the points (cross_sections.channel_fraction_rows).
 
 Counting model: a cell of optical-depth coefficient d (per unit strength)
 transmits a fraction T = exp(-d * sigma_total); captures are Poisson with
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TextIO
 
@@ -36,10 +40,11 @@ from .cross_sections import (
     CaptureMode,
     CaptureModel,
     Channel,
-    channel_fractions,
+    channel_fraction_rows,
     channels_for,
     closed_form,
     grid_values,
+    u_coefficients,
 )
 from .errors import DegenerateDesignError, DomainError
 from .exactnum import QuadRational, parse_rational
@@ -117,45 +122,10 @@ class FitResult:
         }
 
 
-# Anchors of the float path.  Their u-vectors are 0, (1, 1, 1), and (1, 1, 1)
-# with u1, u2 or u3 knocked back to 0, so a channel's value at the first is
-# its constant term and the differences from the second give the slopes.
-_ANCHORS = (
-    PolarizationTriple.of(1, 1, 1),
-    PolarizationTriple.of(0, 0, 0),
-    PolarizationTriple.of(1, 1, 0),
-    PolarizationTriple.of(1, 0, 1),
-    PolarizationTriple.of(0, 1, 1),
-)
-
 # Float entries closer to zero than this are re-decided by the exact closed
 # form, which costs one exact evaluation each; roundoff near a zero could
 # otherwise leave a tiny or negative cross-section.
 _ZERO_TOLERANCE = 1e-12
-
-
-def _u_coefficients(mode: CaptureMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each channel's (c0, c1, c2, c3) at K = 1: sigma = c0 + c1*u1 + c2*u2 + c3*u3.
-
-    Returned as integer numerators of the rational and the sqrt(2) parts,
-    shape (channels, 4), and one common denominator per channel.  The
-    coefficients are read off closed_form at call time, so the float path
-    evaluates whatever closed form is in force rather than a copy of it.
-    """
-    unit = CaptureModel.uniform(mode)
-    rational, root, denominators = [], [], []
-    for channel in channels_for(mode):
-        origin, ones, *knocked = (closed_form(channel, pol, unit).value for pol in _ANCHORS)
-        row = [origin] + [ones - value for value in knocked]
-        denominator = math.lcm(*(part.denominator for c in row for part in (c.a, c.b)))
-        rational.append([int(c.a * denominator) for c in row])
-        root.append([int(c.b * denominator) for c in row])
-        denominators.append(denominator)
-    return (
-        np.array(rational, dtype=float),
-        np.array(root, dtype=float),
-        np.array(denominators, dtype=float),
-    )
 
 
 def _unit_brackets(pols: Sequence[PolarizationTriple], mode: CaptureMode) -> np.ndarray:
@@ -167,7 +137,9 @@ def _unit_brackets(pols: Sequence[PolarizationTriple], mode: CaptureMode) -> np.
     # Integer numerators, with the two parts summed apart as in the exact
     # table: on a dyadic grid both sums are exact, and a rational entry is
     # correctly rounded by the one division.
-    rational, root, denominators = _u_coefficients(mode)
+    rational, root, denominators = (
+        np.array(part, dtype=float) for part in u_coefficients(mode)
+    )
     values = (basis @ rational.T + math.sqrt(2) * (basis @ root.T)) / denominators
     channels = channels_for(mode)
     unit = CaptureModel.uniform(mode)
@@ -363,6 +335,12 @@ def discriminability_sweep(
     the design matrix formed by the point together with the fixed reference
     settings (unpolarized, plus the aligned corner in OAM mode).  Output is
     sorted by condition number, then lexicographically by (p, P_L, P_N).
+
+    The condition numbers come from the float path and one batched SVD.  The
+    fractions come from channel_fraction_rows: per point, integer sums over
+    the u-coefficients and one exact Q(sqrt(2)) division, so each share is
+    still decided by field arithmetic.  A point where the total vanishes
+    raises DomainError naming it.
     """
     if grid_resolution < 2:
         raise DomainError(f"grid resolution must be at least 2, got {grid_resolution}")
@@ -386,8 +364,10 @@ def discriminability_sweep(
     np.divide(largest, smallest, out=conditions, where=smallest > 0)
 
     sweep = [
-        SweepPoint(pol, tuple(share for _, share in channel_fractions(pol, model)), condition)
-        for pol, condition in zip(points, conditions.tolist())
+        SweepPoint(pol, shares, condition)
+        for pol, shares, condition in zip(
+            points, channel_fraction_rows(points, model), conditions.tolist()
+        )
     ]
     sweep.sort(key=lambda point: (point.condition_number, point.pol.p, point.pol.pl, point.pol.pn))
     return sweep
@@ -451,6 +431,16 @@ def _cell(row: dict, column: str, parse: Callable[[str], object]):
         return parse(row[column])
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"column {column}: malformed value {row[column]!r}") from None
+    except OverflowError as exc:
+        raise DomainError(f"column {column}: {exc}") from None
+
+
+def _count(text: str) -> int:
+    """An integer count; the fit works in floats, so it must convert to one."""
+    count = int(text)
+    if abs(count) > sys.float_info.max:
+        raise OverflowError("count is too large for a float")
+    return count
 
 
 def read_settings_csv(source: TextIO) -> list[MeasurementSetting]:
@@ -532,12 +522,14 @@ def read_counts_csv(
         if not 0 <= setting_id < len(settings):
             raise DomainError(f"setting_id {setting_id} has no matching setting")
         channel_counts = (
-            tuple(_cell(row, name, int) for name in channel_columns) if channel_columns else None
+            tuple(_cell(row, name, _count) for name in channel_columns)
+            if channel_columns
+            else None
         )
         return CountRecord(
             settings[setting_id],
-            _cell(row, "capture", int),
-            _cell(row, "transmitted", int),
+            _cell(row, "capture", _count),
+            _cell(row, "transmitted", _count),
             channel_counts,
         )
 

@@ -193,6 +193,15 @@ class TestSweep:
         assert len(payload["points"]) == 8
         assert set(payload["points"][0]["fractions"]) == {"0+", "1+"}
 
+    def test_zero_total_names_the_point(self, capsys):
+        code, out, err = run(capsys, "sweep", "--grid", "3", "--mode", "oam", "--k", "1,0,0")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: total cross-section is zero at (p=-1, P_L=-1, P_N=-1); "
+            "channel fractions are undefined\n"
+        )
+
 
 class TestSimulateAndFit:
     @pytest.fixture
@@ -284,6 +293,11 @@ class TestSimulateAndFit:
             (SETTINGS_CSV.encode() + b"\xff,0,0,1,1\n", None, "settings.csv, line 6"),
             (SETTINGS_CSV + "1e-9999999,0,0,1,1\n", None, "settings.csv, line 6"),
             (SETTINGS_CSV, b"setting_id,capture,transmitted\n0,1,\xfe\n", "counts.csv, line 2"),
+            (
+                SETTINGS_CSV,
+                "setting_id,capture,transmitted\n0,1,1\n1," + "9" * 400 + ",1\n",
+                "counts.csv, line 3: column capture: count is too large for a float",
+            ),
         ],
         ids=[
             "bad-rational",
@@ -293,6 +307,7 @@ class TestSimulateAndFit:
             "not-utf8",
             "huge-exponent",
             "not-utf8-counts",
+            "count-beyond-float",
         ],
     )
     def test_malformed_input_is_one_line_domain_error(
@@ -312,6 +327,16 @@ class TestSimulateAndFit:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert where in err
+
+    @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890"])
+    def test_negative_seed_is_usage_error(self, capsys, settings_file, seed):
+        code, out, err = run(
+            capsys, "simulate", "--settings", str(settings_file), "--mode", "oam", "--seed", seed
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "seed must be nonnegative" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_fit_missing_file(self, capsys, settings_file, tmp_path):
         code, _, err = run(
@@ -363,6 +388,7 @@ class TestArbitraryInputFiles:
     @given(_input_files(b"setting_id,capture,transmitted\n"))
     @example(b"setting_id,capture,transmitted\n0,\xff,1\n")
     @example(b"setting_id,capture,transmitted\n0,1e-9999999,1\n")
+    @example(b"setting_id,capture,transmitted\n0," + b"9" * 400 + b",1\n")
     @settings(max_examples=150, deadline=2000)
     def test_counts_file(self, data):
         _main_on_files(

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -320,9 +321,68 @@ class TestTotals:
         assert total == rational(1)
 
     def test_fractions_undefined_for_zero_total(self):
-        pol = PolarizationTriple.of(0, 0, 0)
-        with pytest.raises(DomainError):
-            channel_fractions(pol, CaptureModel.oam(0, 0, 0))
+        for pol, model in [
+            (PolarizationTriple.of(0, 0, 0), CaptureModel.oam(0, 0, 0)),
+            (PolarizationTriple.of(1, 1, 1), CaptureModel.oam(1, 1, 0)),
+            (PolarizationTriple.of(-1, "1/2", -1), CaptureModel.ordinary(1, 0)),
+        ]:
+            with pytest.raises(DomainError, match=re.escape(f"zero at {pol};")):
+                channel_fractions(pol, model)
+
+
+def _cube(values) -> list[PolarizationTriple]:
+    return [PolarizationTriple(p, pl, pn) for p, pl, pn in product(values, repeat=3)]
+
+
+class TestFractionRows:
+    """The integer batch against each closed form divided by their sum, point by point."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            CaptureModel.oam(1, 1, 1),
+            CaptureModel.oam("7/3", 2, "1/2"),
+            CaptureModel.oam(0, 5, "3/11"),
+            CaptureModel.ordinary(1, 3),
+            CaptureModel.ordinary("7/3", 0),
+        ],
+        ids=lambda model: f"{model.mode.value}-{','.join(map(str, model.strengths))}",
+    )
+    @pytest.mark.parametrize(
+        "values",
+        [
+            grid_values(2),
+            grid_values(3),
+            grid_values(9),
+            # Mixed denominators, so a point's lcm differs from its parts'.
+            grid_values(3) + (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 6)),
+        ],
+        ids=["grid2", "grid3", "grid9", "mixed"],
+    )
+    def test_field_equal_to_closed_forms_over_their_sum(self, model, values):
+        defined, reference = [], []
+        for pol in _cube(values):
+            sections = [closed_form(channel, pol, model).value for channel in model.channels]
+            total = sum(sections, QuadRational.zero())
+            if total.is_zero:
+                with pytest.raises(DomainError):
+                    cross_sections.channel_fraction_rows([pol], model)
+                continue
+            defined.append(pol)
+            reference.append(tuple(value / total for value in sections))
+        assert cross_sections.channel_fraction_rows(defined, model) == reference
+
+    def test_first_zero_total_is_named(self):
+        # The 0- channel alone vanishes wherever all three polarizations align.
+        pols = [PolarizationTriple.of(*signs) for signs in ((0, 0, 0), (1, 1, 1), (-1, -1, -1))]
+        with pytest.raises(DomainError, match=re.escape("zero at (p=1, P_L=1, P_N=1);")):
+            cross_sections.channel_fraction_rows(pols, CaptureModel.oam(1, 0, 0))
+
+    def test_channel_fractions_is_the_one_point_case(self):
+        pol = PolarizationTriple.of("1/3", "-2/7", "5/6")
+        model = CaptureModel.oam("7/3", 2, "1/2")
+        (row,) = cross_sections.channel_fraction_rows([pol], model)
+        assert channel_fractions(pol, model) == tuple(zip(OAM_CHANNELS, row))
 
 
 class TestReconciliation:

@@ -1,9 +1,11 @@
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from he3cap import exactnum
 from he3cap.errors import UnsupportedRadicandError
 from he3cap.exactnum import QuadRational, SqrtRational, exact_sqrt, sqrt_product
 
@@ -14,6 +16,18 @@ small_fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
 )
 quads = st.builds(QuadRational, small_fractions, small_fractions)
+
+
+def _fresh_decimal_str(value: QuadRational, digits: int) -> str:
+    """decimal_str recomputed independently: sqrt(2) at 25 guard digits, then rounded."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 25
+        a = Decimal(value.a.numerator) / Decimal(value.a.denominator)
+        b = Decimal(value.b.numerator) / Decimal(value.b.denominator)
+        exact = a + b * Decimal(2).sqrt()
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return format((+exact).normalize(), "f")
 
 
 class TestSqrtRational:
@@ -149,6 +163,27 @@ class TestQuadRational:
         assert QuadRational(Fraction(1, 3), Fraction(0)).decimal_str() == "0.333333333333333"
         assert QuadRational(Fraction(0), Fraction(1)).decimal_str() == "1.4142135623731"
         assert QuadRational(Fraction(9), Fraction(-4)).decimal_str() == "3.34314575050762"
+
+    @pytest.mark.parametrize("order", [(5, 15, 30), (30, 15, 5)])
+    def test_decimal_str_at_each_precision_matches_a_fresh_computation(self, order):
+        values = [
+            QuadRational(Fraction(9), Fraction(-4)),
+            QuadRational(Fraction(1, 3), Fraction(5, 7)),
+            QuadRational(Fraction(0), Fraction(-1, 12)),
+            # a + b*sqrt(2) cancels to about 1e-60, so the digits shown depend
+            # on every digit of the sqrt(2) the rendering used.
+            QuadRational(
+                -Fraction(1010152544552210749144063374435498627549765625269248623697628, 10**60),
+                Fraction(5, 7),
+            ),
+        ]
+        exactnum._sqrt2.cache_clear()
+        try:
+            for digits in order:
+                for value in values:
+                    assert value.decimal_str(digits) == _fresh_decimal_str(value, digits)
+        finally:
+            exactnum._sqrt2.cache_clear()
 
     def test_float_is_close(self):
         value = QuadRational(Fraction(6), Fraction(-4))

@@ -47,6 +47,20 @@ def cube_settings(resolution=5, exposure=1.0, depth=1.0):
     ]
 
 
+def _patch_wrong_j1_closed_form(monkeypatch):
+    """Make the j''=1 OAM closed form 11/10 too large; return the patched function."""
+    original = cross_sections.oam_closed_form
+
+    def wrong_closed_form(channel, pol, model):
+        section = original(channel, pol, model)
+        if channel != OAM_CHANNELS[1]:
+            return section
+        return ChannelCrossSection(channel, section.value * Fraction(11, 10))
+
+    monkeypatch.setattr(cross_sections, "oam_closed_form", wrong_closed_form)
+    return wrong_closed_form
+
+
 class TestSettingTypes:
     def test_positive_exposure_and_depth(self):
         with pytest.raises(DomainError):
@@ -109,15 +123,7 @@ class TestDesignMatrix:
         model = CaptureModel.uniform(CaptureMode.OAM)
         design = design_matrix(settings, CaptureMode.OAM)
         records = simulate_counts(settings, model, 3)
-        original = cross_sections.oam_closed_form
-
-        def wrong_closed_form(channel, pol, model):
-            section = original(channel, pol, model)
-            if channel != OAM_CHANNELS[1]:
-                return section
-            return ChannelCrossSection(channel, section.value * Fraction(11, 10))
-
-        monkeypatch.setattr(cross_sections, "oam_closed_form", wrong_closed_form)
+        _patch_wrong_j1_closed_form(monkeypatch)
         assert not np.array_equal(design_matrix(settings, CaptureMode.OAM), design)
         assert simulate_counts(settings, model, 3) != records
 
@@ -299,6 +305,20 @@ class TestSweep:
     def test_resolution_below_two_rejected(self):
         with pytest.raises(DomainError):
             discriminability_sweep(1, CaptureMode.OAM)
+
+    def test_fractions_follow_the_closed_form_in_force(self, monkeypatch):
+        model = CaptureModel.oam("7/3", 2, "1/2")
+        before = {
+            point.pol: point.fractions
+            for point in discriminability_sweep(3, CaptureMode.OAM, model)
+        }
+        wrong_closed_form = _patch_wrong_j1_closed_form(monkeypatch)
+        after = discriminability_sweep(3, CaptureMode.OAM, model)
+        assert any(point.fractions != before[point.pol] for point in after)
+        for point in after:
+            sections = [wrong_closed_form(ch, point.pol, model).value for ch in OAM_CHANNELS]
+            total = sum(sections, QuadRational.zero())
+            assert point.fractions == tuple(value / total for value in sections)
 
     def test_deterministic(self):
         assert discriminability_sweep(3, CaptureMode.OAM) == discriminability_sweep(
