@@ -4,131 +4,28 @@ Exact cross-section evaluators for ordinary and L=1 orbital-angular-momentum
 neutrons, an independent angular-momentum-coupling oracle that adjudicates
 the closed forms, and experiment-design tooling (sweeps, strength fitting,
 transmission simulation).
+
+The package root carries only the names of the README's library example;
+everything else is imported from its module (he3cap.experiment,
+he3cap.levels, ...).  Importing the root loads neither numpy nor scipy.
 """
 
-from .angular import HalfInt, cg, coupling_range, projections
+from .angular import cg
 from .cross_sections import (
-    OAM_CHANNELS,
-    ORDINARY_CHANNELS,
-    SINGLET,
-    TRIPLET,
     CaptureMode,
     CaptureModel,
-    Channel,
-    ChannelCrossSection,
-    Parity,
-    ReconciliationReport,
     channel_cross_sections,
-    channel_fractions,
-    channels_for,
-    closed_form,
     compare_with_oracle,
-    grid_values,
-    j2_corner_extrema,
-    oam_closed_form,
-    oam_oracle,
-    oracle,
-    ordinary_closed_form,
-    ordinary_oracle,
-    total_cross_section,
 )
-from .errors import (
-    DegenerateDesignError,
-    DomainError,
-    InvalidQuantumNumberError,
-    LevelNotFoundError,
-    ModeMismatchError,
-    UnsupportedRadicandError,
-)
-from .exactnum import QuadRational, SqrtRational, sqrt_product
-from .experiment import (
-    CountRecord,
-    FitResult,
-    MeasurementSetting,
-    SweepPoint,
-    design_matrix,
-    discriminability_sweep,
-    fit_rates,
-    fit_strengths,
-    read_counts_csv,
-    read_settings_csv,
-    simulate_counts,
-    write_counts_csv,
-    write_settings_csv,
-)
-from .levels import (
-    LevelRecord,
-    ReactionKinematics,
-    builtin_levels,
-    channel_detuning,
-    check_kinematics,
-)
-from .polarization import (
-    PolarizationTriple,
-    SubstateDistribution,
-    oam_distribution,
-    spin_half_distribution,
-)
+from .polarization import PolarizationTriple
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CaptureMode",
     "CaptureModel",
-    "Channel",
-    "ChannelCrossSection",
-    "CountRecord",
-    "DegenerateDesignError",
-    "DomainError",
-    "FitResult",
-    "HalfInt",
-    "InvalidQuantumNumberError",
-    "LevelNotFoundError",
-    "LevelRecord",
-    "MeasurementSetting",
-    "ModeMismatchError",
-    "OAM_CHANNELS",
-    "ORDINARY_CHANNELS",
-    "Parity",
     "PolarizationTriple",
-    "QuadRational",
-    "ReactionKinematics",
-    "ReconciliationReport",
-    "SINGLET",
-    "SqrtRational",
-    "SubstateDistribution",
-    "SweepPoint",
-    "TRIPLET",
-    "UnsupportedRadicandError",
-    "builtin_levels",
     "cg",
     "channel_cross_sections",
-    "channel_detuning",
-    "channel_fractions",
-    "channels_for",
-    "check_kinematics",
-    "closed_form",
     "compare_with_oracle",
-    "coupling_range",
-    "design_matrix",
-    "discriminability_sweep",
-    "fit_rates",
-    "fit_strengths",
-    "grid_values",
-    "j2_corner_extrema",
-    "oam_closed_form",
-    "oam_distribution",
-    "oam_oracle",
-    "oracle",
-    "ordinary_closed_form",
-    "ordinary_oracle",
-    "projections",
-    "read_counts_csv",
-    "read_settings_csv",
-    "simulate_counts",
-    "spin_half_distribution",
-    "sqrt_product",
-    "total_cross_section",
-    "write_counts_csv",
-    "write_settings_csv",
 ]

@@ -46,10 +46,6 @@ class HalfInt:
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __add__(self, other: HalfInt) -> HalfInt:
         return HalfInt(self.twice + other.twice)
 

@@ -45,6 +45,9 @@ from .experiment import (
     write_counts_csv,
 )
 from .levels import (
+    PROTON_ENERGY_KEV,
+    Q_VALUE_KEV,
+    TRITON_ENERGY_KEV,
     ReactionKinematics,
     builtin_levels,
     channel_detuning,
@@ -57,12 +60,15 @@ EXIT_DOMAIN_ERROR = 1
 EXIT_USAGE = 2
 EXIT_DISAGREEMENT = 3
 
+# Reported as one "error:" line with exit code 1; OSError covers input files
+# that cannot be read and --out paths that cannot be written.
 _DOMAIN_ERRORS = (
     DomainError,
     ModeMismatchError,
     InvalidQuantumNumberError,
     DegenerateDesignError,
     LevelNotFoundError,
+    OSError,
 )
 
 
@@ -502,9 +508,9 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=_cmd_levels)
 
     sub = commands.add_parser("kinematics", help="validate reaction kinematics")
-    sub.add_argument("--q", type=float, default=764.0, help="Q-value in keV")
-    sub.add_argument("--ep", type=float, default=573.0, help="proton energy in keV")
-    sub.add_argument("--et", type=float, default=191.0, help="triton energy in keV")
+    sub.add_argument("--q", type=float, default=Q_VALUE_KEV, help="Q-value in keV")
+    sub.add_argument("--ep", type=float, default=PROTON_ENERGY_KEV, help="proton energy in keV")
+    sub.add_argument("--et", type=float, default=TRITON_ENERGY_KEV, help="triton energy in keV")
     _add_format_flags(sub)
     _add_out_flag(sub)
     sub.set_defaults(func=_cmd_kinematics)
@@ -526,9 +532,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_ERROR
 

@@ -9,12 +9,15 @@ Two independent evaluation routes are kept side by side on purpose:
   6 - 4*sqrt(2) and 3 + 4*sqrt(2) of the j''=1 channel).  The table uses no
   coupling coefficient, so it stays independent of the oracle;
 * an oracle that performs the full substate sum over occupation
-  probabilities and Clebsch-Gordan amplitudes, with coherent addition of
-  the two intermediate total-angular-momentum paths.  It comes in two
-  parts.  A substate table per channel holds the exact |A|^2 of every
-  substate tuple, built from the coupling coefficients alone; it does not
-  depend on the polarizations, so it is built once per channel.  Each
-  oracle call contracts that table with the occupation probabilities
+  probabilities and Clebsch-Gordan amplitudes.  The neutron's orbital
+  momentum L and spin couple to j', which couples with the helium-3 spin to
+  j''; the intermediate j' paths add coherently.  Ordinary capture is the
+  L = 0 case of that coupling (one path, j' = 1/2), OAM capture the L = 1
+  case (j' = 1/2 and 3/2).  The oracle comes in two parts.  A substate
+  table per channel, from one builder for both modes, holds the exact |A|^2
+  of every substate tuple, built from the coupling coefficients alone; it
+  does not depend on the polarizations, so it is built once per channel.
+  Each oracle call contracts that table with the occupation probabilities
   (1 +- P)/2 of the point.  Neither part reads the closed-form table, and
   every point asked for is summed afresh.
 
@@ -35,7 +38,7 @@ from itertools import product
 from operator import mul
 from typing import Sequence
 
-from .angular import HalfInt, cg, projections
+from .angular import HalfInt, cg, coupling_range, projections
 from .errors import DomainError, ModeMismatchError
 from .exactnum import QuadRational, RationalLike, as_fraction, sqrt_product
 from .polarization import (
@@ -85,13 +88,6 @@ OAM_CHANNELS: tuple[Channel, ...] = (
 def channels_for(mode: CaptureMode) -> tuple[Channel, ...]:
     """Channels of a capture mode, ordered by ascending j."""
     return ORDINARY_CHANNELS if mode is CaptureMode.ORDINARY else OAM_CHANNELS
-
-
-def channel_by_label(label: str) -> Channel:
-    for channel in ORDINARY_CHANNELS + OAM_CHANNELS:
-        if channel.label == label:
-            return channel
-    raise DomainError(f"unknown channel label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -156,8 +152,6 @@ class ChannelCrossSection:
 _NEUTRON_SPIN = HalfInt(1)
 _HE3_SPIN = HalfInt(1)
 _OAM_MOMENTUM = HalfInt(2)
-# The neutron's spin and orbital momentum couple to j' = 1/2 or 3/2.
-_COUPLED_MOMENTA = (HalfInt(1), HalfInt(3))
 
 _Terms = tuple[tuple[int, Fraction], ...]
 
@@ -239,47 +233,42 @@ def oam_closed_form(
     return _tabulated(_OAM_BRACKETS, channel, pol, model)
 
 
-# One substate-table entry: the projections, then |A|^2 = a + b*sqrt(2).
+# One substate-table entry: the projections (m_N, m_L, mu), then
+# |A|^2 = a + b*sqrt(2).
 _Substates = tuple[tuple[tuple[HalfInt, ...], Fraction, Fraction], ...]
 
 
 @lru_cache(maxsize=None)  # one table per channel, five channels in all
-def _ordinary_substates(channel: Channel) -> _Substates:
-    """|<j'' m''|1/2 m_N; 1/2 mu>|^2 for every (m_N, mu) where it is nonzero."""
-    table = []
-    for m_nuclear, m_spin in product(projections(_HE3_SPIN), projections(_NEUTRON_SPIN)):
-        m_final = m_nuclear + m_spin
-        if abs(m_final.twice) > channel.j_final.twice:
-            continue
-        amplitude = cg(_HE3_SPIN, m_nuclear, _NEUTRON_SPIN, m_spin, channel.j_final, m_final)
-        squared = amplitude.square()
-        if squared:
-            table.append(((m_nuclear, m_spin), squared, Fraction(0)))
-    return tuple(table)
+def _substates(channel: Channel) -> _Substates:
+    """|A|^2 of the coherent j' paths for every (m_N, m_L, mu) where it is nonzero.
 
+    The neutron's orbital momentum L (0 for an even-parity channel, 1 for an
+    odd one) and its spin couple to j', which couples with the helium-3 spin
+    to j'':
 
-@lru_cache(maxsize=None)  # one table per channel, five channels in all
-def _oam_substates(channel: Channel) -> _Substates:
-    """|A|^2 of the two coherent j' paths for every (m_N, m_L, mu) where it is nonzero.
+        A = sum over j' of <j'' m''|j' m'; 1/2 m_N> <j' m'|L m_L; 1/2 mu>
 
-    A = sum over j' of <j'' m''|j' m'; 1/2 m_N> <j' m'|1 m_L; 1/2 mu>, and
-    |A|^2 expands through sqrt_product, so it stays in Q + Q*sqrt(2) exactly.
+    For L = 0 the only j' is 1/2 and <1/2 mu|0 0; 1/2 mu> = 1, so A is the
+    single coefficient <j'' m''|1/2 m_N; 1/2 mu>.  |A|^2 expands through
+    sqrt_product, so it stays in Q + Q*sqrt(2) exactly.
     """
     j_final = channel.j_final
+    orbital = _OAM_MOMENTUM if channel.parity is Parity.ODD else HalfInt(0)
+    coupled_momenta = coupling_range(orbital, _NEUTRON_SPIN)
     table = []
     for m_nuclear, m_orbital, m_spin in product(
-        projections(_HE3_SPIN), projections(_OAM_MOMENTUM), projections(_NEUTRON_SPIN)
+        projections(_HE3_SPIN), projections(orbital), projections(_NEUTRON_SPIN)
     ):
         m_coupled = m_orbital + m_spin
         m_final = m_coupled + m_nuclear
         if abs(m_final.twice) > j_final.twice:
             continue
         amplitudes = []
-        for j_coupled in _COUPLED_MOMENTA:
+        for j_coupled in coupled_momenta:
             if abs(m_coupled.twice) > j_coupled.twice:
                 continue
             term = cg(j_coupled, m_coupled, _HE3_SPIN, m_nuclear, j_final, m_final) * cg(
-                _OAM_MOMENTUM, m_orbital, _NEUTRON_SPIN, m_spin, j_coupled, m_coupled
+                orbital, m_orbital, _NEUTRON_SPIN, m_spin, j_coupled, m_coupled
             )
             if not term.is_zero:
                 amplitudes.append(term)
@@ -292,45 +281,48 @@ def _oam_substates(channel: Channel) -> _Substates:
     return tuple(table)
 
 
-def _contract(
-    table: _Substates, distributions: tuple[SubstateDistribution, ...], strength: Fraction
-) -> QuadRational:
-    """K * sum over the table of the occupation weight times |A|^2.
+# An ordinary neutron's orbital state: L = 0, so m_L = 0 with certainty.
+_NO_ORBITAL_MOMENTUM = SubstateDistribution(((HalfInt(0), Fraction(1)),))
 
-    The distributions are in the order of each entry's projections.  The
-    joint occupation is built for occupied substates only, so an entry that
-    is never occupied (m_L = 0) is skipped.  The rational and sqrt(2) parts
-    are summed apart and K multiplies them once.
+
+def _contract(
+    channel: Channel, pol: PolarizationTriple, model: CaptureModel, orbital: SubstateDistribution
+) -> ChannelCrossSection:
+    """K * sum over the channel's substate table of p(m_N) p(m_L) p(mu) |A|^2.
+
+    orbital holds the m_L occupations.  The joint occupation is built for
+    occupied substates only, so an entry that is never occupied (m_L = 0
+    for an OAM neutron) is skipped.  The rational and sqrt(2) parts are
+    summed apart and K multiplies them once.
     """
-    first, *rest = distributions
-    weights = {(m,): w for m, w in first if w}
-    for distribution in rest:
+    strength = model.strength(channel)  # rejects channels of the other mode
+    weights = {(m,): w for m, w in spin_half_distribution(pol.pn) if w}
+    for distribution in (orbital, spin_half_distribution(pol.p)):
         weights = {key + (m,): w * v for key, w in weights.items() for m, v in distribution if v}
     rational = root = Fraction(0)
-    for substates, a, b in table:
+    for substates, a, b in _substates(channel):
         weight = weights.get(substates)
         if weight is not None:
             rational += weight * a
             if b:
                 root += weight * b
-    return QuadRational(strength * rational, strength * root)
+    return ChannelCrossSection(channel, QuadRational(strength * rational, strength * root))
 
 
 def ordinary_oracle(
     channel: Channel, pol: PolarizationTriple, model: CaptureModel
 ) -> ChannelCrossSection:
-    """Brute-force substate sum for ordinary capture.
+    """Brute-force substate sum for ordinary capture, the L = 0 case of the coupling.
 
-    sigma = K * sum over (m_N, mu) of p(m_N) p(mu) |<j' m'|1/2 m_N; 1/2 mu>|^2.
-    The |CG|^2 table does not depend on the polarizations and is built once
-    per channel; each call contracts it with the occupations (1 +- P)/2.
+    The neutron carries no orbital momentum, so m_L = 0 with probability 1
+    and the only coupled state is j' = 1/2, which makes
+    sigma = K * sum over (m_N, mu) of p(m_N) p(mu) |<j'' m''|1/2 m_N; 1/2 mu>|^2.
+    The substate table comes from the builder the OAM oracle uses and is
+    built once per channel; each call contracts it with the occupations
+    (1 +- P)/2.
     """
     _require_mode(model, CaptureMode.ORDINARY, "ordinary_oracle")
-    if channel not in ORDINARY_CHANNELS:
-        raise ModeMismatchError(f"channel {channel.label} is not an ordinary capture channel")
-    distributions = (spin_half_distribution(pol.pn), spin_half_distribution(pol.p))
-    value = _contract(_ordinary_substates(channel), distributions, model.strength(channel))
-    return ChannelCrossSection(channel, value)
+    return _contract(channel, pol, model, _NO_ORBITAL_MOMENTUM)
 
 
 def oam_oracle(
@@ -349,15 +341,7 @@ def oam_oracle(
     the occupations.  The table never reads the closed forms.
     """
     _require_mode(model, CaptureMode.OAM, "oam_oracle")
-    if channel not in OAM_CHANNELS:
-        raise ModeMismatchError(f"channel {channel.label} is not an OAM capture channel")
-    distributions = (
-        spin_half_distribution(pol.pn),
-        oam_distribution(pol.pl),
-        spin_half_distribution(pol.p),
-    )
-    value = _contract(_oam_substates(channel), distributions, model.strength(channel))
-    return ChannelCrossSection(channel, value)
+    return _contract(channel, pol, model, oam_distribution(pol.pl))
 
 
 def closed_form(
@@ -383,10 +367,6 @@ def channel_cross_sections(
 def sections_total(sections: tuple[ChannelCrossSection, ...]) -> QuadRational:
     """Exact sum of already evaluated channel cross-sections."""
     return sum((section.value for section in sections), QuadRational.zero())
-
-
-def total_cross_section(pol: PolarizationTriple, model: CaptureModel) -> QuadRational:
-    return sections_total(channel_cross_sections(pol, model))
 
 
 # Anchors at which u_coefficients reads the closed forms.  Their u-vectors

@@ -113,10 +113,6 @@ class SqrtRational:
         return cls(0, Fraction(0))
 
     @classmethod
-    def one(cls) -> SqrtRational:
-        return cls(1, Fraction(1))
-
-    @classmethod
     def sqrt(cls, radicand: RationalLike) -> SqrtRational:
         """Principal square root of a nonnegative rational."""
         q = as_fraction(radicand)
@@ -136,11 +132,6 @@ class SqrtRational:
 
     def square(self) -> Fraction:
         return self.radicand
-
-    def rational_value(self) -> Fraction | None:
-        """Exact rational value if the radicand is a perfect square, else None."""
-        root = exact_sqrt(self.radicand)
-        return None if root is None else self.sign * root
 
     def __neg__(self) -> SqrtRational:
         return SqrtRational(-self.sign, self.radicand)
@@ -231,16 +222,9 @@ class QuadRational:
     def from_rational(cls, value: RationalLike) -> QuadRational:
         return cls(as_fraction(value), Fraction(0))
 
-    @classmethod
-    def sqrt2_times(cls, value: RationalLike) -> QuadRational:
-        return cls(Fraction(0), as_fraction(value))
-
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def rational_value(self) -> Fraction | None:
-        return self.a if self.b == 0 else None
 
     # -- ring / field operations --------------------------------------------
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .cross_sections import (
     CaptureMode,
@@ -178,6 +177,10 @@ def _weighted_nnls(
     weights: np.ndarray,
     channels: tuple[Channel, ...],
 ) -> FitResult:
+    # scipy is imported here, in the one place it runs, so that commands
+    # which never fit do not pay for importing it.
+    from scipy.optimize import nnls
+
     sqrt_weights = np.sqrt(weights)
     scaled_design = design * sqrt_weights[:, None]
     scaled_response = response * sqrt_weights
@@ -236,25 +239,23 @@ def fit_strengths(
 ) -> FitResult:
     """Recover strength constants from counting records.
 
-    Channel-summed (default): response is total captures per setting with
-    Poisson weights 1/max(count, 1).  Channel-resolved: each record must
-    carry channel_counts; every (setting, channel) pair becomes its own
+    Channel-summed (default): fit_rates on the total captures per setting
+    with Poisson weights 1/max(count, 1).  Channel-resolved: each record
+    must carry channel_counts; every (setting, channel) pair becomes its own
     weighted observation.
     """
     if not records:
         raise DomainError("at least one count record is required")
     settings = [record.setting for record in records]
-    channels = channels_for(mode)
-    scale = np.array([s.exposure * s.depth for s in settings])
-    design = design_matrix(settings, mode) * scale[:, None]
-
     if not channel_resolved:
         counts = np.array([record.capture_counts for record in records], dtype=float)
-        weights = 1.0 / np.maximum(counts, 1.0)
-        return _weighted_nnls(design, counts, weights, channels)
+        return fit_rates(settings, counts, mode, weights=1.0 / np.maximum(counts, 1.0))
 
     if any(record.channel_counts is None for record in records):
         raise DomainError("channel-resolved fitting needs channel_counts on every record")
+    channels = channels_for(mode)
+    scale = np.array([s.exposure * s.depth for s in settings])
+    design = design_matrix(settings, mode) * scale[:, None]
     rows = []
     counts_list = []
     for record, design_row in zip(records, design):

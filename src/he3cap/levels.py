@@ -49,10 +49,6 @@ class LevelRecord:
     def energy_mev(self) -> float:
         return self.energy_kev / 1000
 
-    @property
-    def is_entry_point(self) -> bool:
-        return self.j is None
-
 
 def level_data_text() -> str:
     """Raw content of the shipped level table (checksummed in tests)."""
@@ -107,10 +103,6 @@ class ReactionKinematics:
     @classmethod
     def reference(cls) -> ReactionKinematics:
         return cls(Q_VALUE_KEV, PROTON_ENERGY_KEV, TRITON_ENERGY_KEV)
-
-    @property
-    def product_energies(self) -> dict[str, float]:
-        return {"proton": self.proton_kev, "triton": self.triton_kev}
 
 
 @dataclass(frozen=True)

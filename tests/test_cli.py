@@ -338,6 +338,20 @@ class TestSimulateAndFit:
         assert err.startswith("error:") and "seed must be nonnegative" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_fit_with_fewer_settings_than_channels(self, capsys, settings_file, tmp_path):
+        counts_path = tmp_path / "counts.csv"
+        counts_path.write_text("setting_id,capture,transmitted\n0,100,900\n1,50,950\n")
+        code, out, err = run(
+            capsys,
+            "fit",
+            "--settings", str(settings_file),
+            "--counts", str(counts_path),
+            "--mode", "oam",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: need at least 3 settings to identify 3 channels\n"
+
     def test_fit_missing_file(self, capsys, settings_file, tmp_path):
         code, _, err = run(
             capsys,
@@ -451,6 +465,30 @@ class TestEntryPoints:
         assert code == 0
         assert out == ""
         assert out_path.read_text() == "+sqrt(1/3) 0.577350269189626\n"
+
+    def test_package_root_exports_the_library_example_names(self):
+        import he3cap
+
+        assert sorted(he3cap.__all__) == [
+            "CaptureMode",
+            "CaptureModel",
+            "PolarizationTriple",
+            "cg",
+            "channel_cross_sections",
+            "compare_with_oracle",
+        ]
+        assert all(hasattr(he3cap, name) for name in he3cap.__all__)
+
+    @pytest.mark.parametrize(
+        ("module", "heavy"), [("he3cap", ("numpy", "scipy")), ("he3cap.cli", ("scipy",))]
+    )
+    def test_import_does_not_load(self, module, heavy):
+        # A fresh interpreter, so nothing imported by the test session counts.
+        probe = f"import sys, {module}; print([name for name in {heavy!r} if name in sys.modules])"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "[]\n"
 
     def test_module_invocation(self):
         result = subprocess.run(

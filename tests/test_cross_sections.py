@@ -14,7 +14,7 @@ from he3cap.cross_sections import (
     TRIPLET,
     CaptureMode,
     CaptureModel,
-    channel_by_label,
+    channel_cross_sections,
     channel_fractions,
     channels_for,
     closed_form,
@@ -26,7 +26,7 @@ from he3cap.cross_sections import (
     oracle,
     ordinary_closed_form,
     ordinary_oracle,
-    total_cross_section,
+    sections_total,
 )
 from he3cap.errors import DomainError, ModeMismatchError
 from he3cap.exactnum import QuadRational
@@ -49,11 +49,6 @@ class TestModelTypes:
     def test_channel_labels(self):
         assert [c.label for c in ORDINARY_CHANNELS] == ["0+", "1+"]
         assert [c.label for c in OAM_CHANNELS] == ["0-", "1-", "2-"]
-
-    def test_channel_by_label(self):
-        assert channel_by_label("2-") == J2
-        with pytest.raises(DomainError):
-            channel_by_label("3-")
 
     def test_channels_for(self):
         assert channels_for(CaptureMode.ORDINARY) == (SINGLET, TRIPLET)
@@ -191,9 +186,9 @@ class TestTabledOracle:
 
     @pytest.fixture
     def fresh_tables(self):
-        cross_sections._oam_substates.cache_clear()
+        cross_sections._substates.cache_clear()
         yield
-        cross_sections._oam_substates.cache_clear()
+        cross_sections._substates.cache_clear()
 
     @pytest.mark.parametrize(
         "model",
@@ -206,25 +201,35 @@ class TestTabledOracle:
             for channel in model.channels:
                 assert oracle(channel, pol, model).value == closed_form(channel, pol, model).value
 
-    def test_corrupted_table_entry_is_reported(self, fresh_tables, monkeypatch):
-        original = cross_sections._oam_substates
+    @pytest.mark.parametrize(
+        ("mode", "corrupt_channel"),
+        [(CaptureMode.OAM, J1), (CaptureMode.ORDINARY, TRIPLET)],
+        ids=["oam", "ordinary"],
+    )
+    def test_corrupted_table_entry_is_reported(
+        self, fresh_tables, monkeypatch, mode, corrupt_channel
+    ):
+        original = cross_sections._substates
 
         def corrupted(channel):
             table = original(channel)
-            if channel != J1:
+            if channel != corrupt_channel:
                 return table
-            # Scale the first occupied interference entry (m_L != 0, b != 0).
+            # Scale the first occupied interference entry (m_L != 0, b != 0)
+            # in OAM mode; an ordinary table is rational, so its first entry.
             index = next(
-                i for i, (substates, _, b) in enumerate(table) if substates[1].twice and b
+                i
+                for i, (substates, _, b) in enumerate(table)
+                if mode is CaptureMode.ORDINARY or (substates[1].twice and b)
             )
             substates, a, b = table[index]
             scaled = (substates, a * Fraction(11, 10), b * Fraction(11, 10))
             return table[:index] + (scaled,) + table[index + 1 :]
 
-        monkeypatch.setattr(cross_sections, "_oam_substates", corrupted)
-        report = compare_with_oracle(CaptureMode.OAM, 3)
+        monkeypatch.setattr(cross_sections, "_substates", corrupted)
+        report = compare_with_oracle(mode, 3)
         assert not report.agreement
-        assert {item.channel for item in report.discrepancies} == {J1}
+        assert {item.channel for item in report.discrepancies} == {corrupt_channel}
 
 
 class TestClosedFormEqualsOracle:
@@ -294,7 +299,7 @@ class TestZeroLoci:
 class TestTotals:
     def test_oam_unpolarized_total_matches_oracle_sum(self):
         pol = PolarizationTriple.of(0, 0, 0)
-        total = total_cross_section(pol, UNIT_OAM)
+        total = sections_total(channel_cross_sections(pol, UNIT_OAM))
         assert total == rational(1)
         oracle_sum = QuadRational.zero()
         for channel in OAM_CHANNELS:
@@ -304,11 +309,11 @@ class TestTotals:
     @given(triples)
     @settings(max_examples=40, deadline=None)
     def test_ordinary_total_is_polarization_independent(self, pol):
-        assert total_cross_section(pol, UNIT_ORDINARY) == rational(1)
+        assert sections_total(channel_cross_sections(pol, UNIT_ORDINARY)) == rational(1)
 
     def test_zero_model(self):
         pol = PolarizationTriple.of("1/2", "1/2", "1/2")
-        assert total_cross_section(pol, CaptureModel.oam(0, 0, 0)).is_zero
+        assert sections_total(channel_cross_sections(pol, CaptureModel.oam(0, 0, 0))).is_zero
 
     @given(triples)
     @settings(max_examples=40, deadline=None)

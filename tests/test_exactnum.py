@@ -55,10 +55,6 @@ class TestSqrtRational:
         assert (-value).sign == -1
         assert (-value).square() == THIRD
 
-    def test_rational_value(self):
-        assert SqrtRational(1, Fraction(4, 9)).rational_value() == TWO_THIRDS
-        assert SqrtRational.sqrt(THIRD).rational_value() is None
-
     def test_str_forms(self):
         assert str(SqrtRational.sqrt(THIRD)) == "+sqrt(1/3)"
         assert str(-SqrtRational.sqrt(TWO_THIRDS)) == "-sqrt(2/3)"

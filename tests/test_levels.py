@@ -55,7 +55,7 @@ class TestBuiltinLevels:
         )
 
     def test_entry_point_record(self):
-        entries = [record for record in builtin_levels() if record.is_entry_point]
+        entries = [record for record in builtin_levels() if record.j is None]
         assert len(entries) == 1
         assert entries[0].energy_kev == ENTRY_ENERGY_KEV
         assert entries[0].parity is None
@@ -131,7 +131,3 @@ class TestKinematics:
         payload = check_kinematics(ReactionKinematics.reference()).to_json_dict()
         assert payload["passed"] is True
         assert len(payload["checks"]) == 2
-
-    def test_product_energies(self):
-        kin = ReactionKinematics.reference()
-        assert kin.product_energies == {"proton": 573.0, "triton": 191.0}
