@@ -36,14 +36,6 @@ from .errors import (
     ModeMismatchError,
 )
 from .exactnum import parse_rational
-from .experiment import (
-    discriminability_sweep,
-    fit_strengths,
-    read_counts_csv,
-    read_settings_csv,
-    simulate_counts,
-    write_counts_csv,
-)
 from .levels import (
     PROTON_ENERGY_KEV,
     Q_VALUE_KEV,
@@ -120,6 +112,19 @@ def _grid_size(text: str) -> int:
     if value > MAX_GRID:
         raise argparse.ArgumentTypeError(
             f"grid resolution must be at most {MAX_GRID} (10^6 points), got {value}"
+        )
+    return value
+
+
+# cg's cost grows faster than j: j = 10^5 takes seconds, j = 1000 milliseconds.
+MAX_MOMENTUM = 1000
+
+
+def _momentum(text: str) -> Fraction:
+    value = _rational(text)
+    if abs(value) > MAX_MOMENTUM:
+        raise argparse.ArgumentTypeError(
+            f"angular momenta must be at most {MAX_MOMENTUM} in magnitude, got {value}"
         )
     return value
 
@@ -301,6 +306,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # experiment loads numpy, so only sweep, fit and simulate import it.
+    from .experiment import discriminability_sweep
+
     model = _model_from_args(args)
     points = discriminability_sweep(args.grid, args.mode, model)
     channels = channels_for(args.mode)
@@ -339,6 +347,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .experiment import fit_strengths, read_counts_csv, read_settings_csv
+
     with open(args.settings, encoding="utf-8") as handle:
         settings = read_settings_csv(handle)
     with open(args.counts, encoding="utf-8") as handle:
@@ -352,6 +362,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .experiment import read_settings_csv, simulate_counts, write_counts_csv
+
     with open(args.settings, encoding="utf-8") as handle:
         settings = read_settings_csv(handle)
     model = _model_from_args(args)
@@ -443,7 +455,7 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("cg", help="exact Clebsch-Gordan coefficient <j1 m1 j2 m2|J M>")
     for name in ("j1", "m1", "j2", "m2", "j", "m"):
-        sub.add_argument(name, type=_rational, metavar=name.upper() if name in ("j", "m") else name)
+        sub.add_argument(name, type=_momentum, metavar=name.upper() if name in ("j", "m") else name)
     _add_format_flags(sub)
     _add_out_flag(sub)
     sub.set_defaults(func=_cmd_cg)

@@ -15,11 +15,12 @@ Two independent evaluation routes are kept side by side on purpose:
   L = 0 case of that coupling (one path, j' = 1/2), OAM capture the L = 1
   case (j' = 1/2 and 3/2).  The oracle comes in two parts.  A substate
   table per channel, from one builder for both modes, holds the exact |A|^2
-  of every substate tuple, built from the coupling coefficients alone; it
-  does not depend on the polarizations, so it is built once per channel.
-  Each oracle call contracts that table with the occupation probabilities
-  (1 +- P)/2 of the point.  Neither part reads the closed-form table, and
-  every point asked for is summed afresh.
+  of every substate tuple as integer numerators over one denominator, built
+  from the coupling coefficients alone; it does not depend on the
+  polarizations, so it is built once per channel.  Each oracle call
+  contracts that table with the point's occupations (1 +- P)/2, written as
+  integer numerators over a common denominator.  Neither part reads the
+  closed-form table, and every point asked for is summed afresh.
 
 Everything is exact rational / Q(sqrt(2)) arithmetic, so agreement between
 the two routes is decided by field equality, never by tolerance.  The
@@ -41,12 +42,7 @@ from typing import Sequence
 from .angular import HalfInt, cg, coupling_range, projections
 from .errors import DomainError, ModeMismatchError
 from .exactnum import QuadRational, RationalLike, as_fraction, sqrt_product
-from .polarization import (
-    PolarizationTriple,
-    SubstateDistribution,
-    oam_distribution,
-    spin_half_distribution,
-)
+from .polarization import PolarizationTriple
 
 
 class Parity(enum.Enum):
@@ -151,7 +147,6 @@ class ChannelCrossSection:
 # Spins involved in the capture, as twice-values.
 _NEUTRON_SPIN = HalfInt(1)
 _HE3_SPIN = HalfInt(1)
-_OAM_MOMENTUM = HalfInt(2)
 
 _Terms = tuple[tuple[int, Fraction], ...]
 
@@ -233,29 +228,40 @@ def oam_closed_form(
     return _tabulated(_OAM_BRACKETS, channel, pol, model)
 
 
-# One substate-table entry: the projections (m_N, m_L, mu), then
-# |A|^2 = a + b*sqrt(2).
-_Substates = tuple[tuple[tuple[HalfInt, ...], Fraction, Fraction], ...]
+def _integer_point(pol: PolarizationTriple) -> tuple[int, int, int, int]:
+    """(d, x, y, z) with d the lcm of the three denominators, p = x/d, P_L = y/d, P_N = z/d."""
+    d = math.lcm(pol.p.denominator, pol.pl.denominator, pol.pn.denominator)
+    return (d, *(v.numerator * (d // v.denominator) for v in (pol.p, pol.pl, pol.pn)))
+
+
+def _orbital_momentum(channel: Channel) -> HalfInt:
+    """The neutron's orbital momentum L: 0 feeds an even-parity channel, 1 an odd one."""
+    return HalfInt(2) if channel.parity is Parity.ODD else HalfInt(0)
+
+
+# A substate table: one denominator D, then one entry per substate tuple,
+# ((2*m_N, 2*m_L, 2*mu), a, b) with |A|^2 = (a + b*sqrt(2)) / D in integers.
+_Substates = tuple[int, tuple[tuple[tuple[int, int, int], int, int], ...]]
 
 
 @lru_cache(maxsize=None)  # one table per channel, five channels in all
 def _substates(channel: Channel) -> _Substates:
     """|A|^2 of the coherent j' paths for every (m_N, m_L, mu) where it is nonzero.
 
-    The neutron's orbital momentum L (0 for an even-parity channel, 1 for an
-    odd one) and its spin couple to j', which couples with the helium-3 spin
-    to j'':
+    The neutron's orbital momentum L and its spin couple to j', which couples
+    with the helium-3 spin to j'':
 
         A = sum over j' of <j'' m''|j' m'; 1/2 m_N> <j' m'|L m_L; 1/2 mu>
 
     For L = 0 the only j' is 1/2 and <1/2 mu|0 0; 1/2 mu> = 1, so A is the
     single coefficient <j'' m''|1/2 m_N; 1/2 mu>.  |A|^2 expands through
-    sqrt_product, so it stays in Q + Q*sqrt(2) exactly.
+    sqrt_product, so it stays in Q + Q*sqrt(2) exactly; the table keeps it
+    as integer numerators over the lcm of the entries' denominators.
     """
     j_final = channel.j_final
-    orbital = _OAM_MOMENTUM if channel.parity is Parity.ODD else HalfInt(0)
+    orbital = _orbital_momentum(channel)
     coupled_momenta = coupling_range(orbital, _NEUTRON_SPIN)
-    table = []
+    entries = []
     for m_nuclear, m_orbital, m_spin in product(
         projections(_HE3_SPIN), projections(orbital), projections(_NEUTRON_SPIN)
     ):
@@ -277,36 +283,40 @@ def _substates(channel: Channel) -> _Substates:
             for right in amplitudes:
                 squared += sqrt_product(left, right)
         if not squared.is_zero:
-            table.append(((m_nuclear, m_orbital, m_spin), squared.a, squared.b))
-    return tuple(table)
-
-
-# An ordinary neutron's orbital state: L = 0, so m_L = 0 with certainty.
-_NO_ORBITAL_MOMENTUM = SubstateDistribution(((HalfInt(0), Fraction(1)),))
+            key = (m_nuclear.twice, m_orbital.twice, m_spin.twice)
+            entries.append((key, squared.a, squared.b))
+    lcm = math.lcm(*(part.denominator for _, a, b in entries for part in (a, b)))
+    return lcm, tuple((key, int(a * lcm), int(b * lcm)) for key, a, b in entries)
 
 
 def _contract(
-    channel: Channel, pol: PolarizationTriple, model: CaptureModel, orbital: SubstateDistribution
+    channel: Channel, pol: PolarizationTriple, model: CaptureModel
 ) -> ChannelCrossSection:
     """K * sum over the channel's substate table of p(m_N) p(m_L) p(mu) |A|^2.
 
-    orbital holds the m_L occupations.  The joint occupation is built for
-    occupied substates only, so an entry that is never occupied (m_L = 0
-    for an OAM neutron) is skipped.  The rational and sqrt(2) parts are
-    summed apart and K multiplies them once.
+    A spin-1/2 with polarization P occupies m = +-1/2 with probability
+    (1 +- P)/2.  With d the lcm of the point's three denominators, p = x/d,
+    P_L = y/d and P_N = z/d, so the spin and nuclear occupations are
+    (d +- x)/2d and (d +- z)/2d.  The preparation device puts every L = 1
+    neutron into m_L = +1 or -1 along its wavevector, never 0, so its
+    orbital occupations are (d +- y)/2d and m_L = 0 gets 0; an L = 0
+    neutron has m_L = 0, that is 2d/2d.  The sum runs over the integer
+    numerators, rational and sqrt(2) parts apart, and one Fraction per part
+    divides out K, the table's denominator and (2d)^3.
     """
     strength = model.strength(channel)  # rejects channels of the other mode
-    weights = {(m,): w for m, w in spin_half_distribution(pol.pn) if w}
-    for distribution in (orbital, spin_half_distribution(pol.p)):
-        weights = {key + (m,): w * v for key, w in weights.items() for m, v in distribution if v}
-    rational = root = Fraction(0)
-    for substates, a, b in _substates(channel):
-        weight = weights.get(substates)
-        if weight is not None:
-            rational += weight * a
-            if b:
-                root += weight * b
-    return ChannelCrossSection(channel, QuadRational(strength * rational, strength * root))
+    d, x, y, z = _integer_point(pol)
+    nuclear, spin = {1: d + z, -1: d - z}, {1: d + x, -1: d - x}
+    orbital = {2: d + y, 0: 0, -2: d - y} if _orbital_momentum(channel).twice else {0: 2 * d}
+    denominator, entries = _substates(channel)
+    rational = root = 0
+    for (m_nuclear, m_orbital, m_spin), a, b in entries:
+        weight = nuclear[m_nuclear] * orbital[m_orbital] * spin[m_spin]
+        rational += weight * a
+        root += weight * b
+    k, scale = strength.numerator, strength.denominator * denominator * 8 * d**3
+    value = QuadRational(Fraction(k * rational, scale), Fraction(k * root, scale))
+    return ChannelCrossSection(channel, value)
 
 
 def ordinary_oracle(
@@ -317,12 +327,10 @@ def ordinary_oracle(
     The neutron carries no orbital momentum, so m_L = 0 with probability 1
     and the only coupled state is j' = 1/2, which makes
     sigma = K * sum over (m_N, mu) of p(m_N) p(mu) |<j'' m''|1/2 m_N; 1/2 mu>|^2.
-    The substate table comes from the builder the OAM oracle uses and is
-    built once per channel; each call contracts it with the occupations
-    (1 +- P)/2.
+    The substate table comes from the builder the OAM oracle uses.
     """
     _require_mode(model, CaptureMode.ORDINARY, "ordinary_oracle")
-    return _contract(channel, pol, model, _NO_ORBITAL_MOMENTUM)
+    return _contract(channel, pol, model)
 
 
 def oam_oracle(
@@ -335,13 +343,11 @@ def oam_oracle(
 
         A = sum over j' of <j'' m''|j' m'; 1/2 m_N> <j' m'|1 m_L; 1/2 mu>
 
-    and sigma = K * sum of p(m_N) p(m_L) p(mu) |A|^2.  Only the occupations
-    depend on the polarizations, so the exact |A|^2 table is built once per
-    channel from the coupling coefficients and each call contracts it with
-    the occupations.  The table never reads the closed forms.
+    and sigma = K * sum of p(m_N) p(m_L) p(mu) |A|^2, the table's contraction
+    with the occupations.  The table never reads the closed forms.
     """
     _require_mode(model, CaptureMode.OAM, "oam_oracle")
-    return _contract(channel, pol, model, oam_distribution(pol.pl))
+    return _contract(channel, pol, model)
 
 
 def closed_form(
@@ -435,11 +441,7 @@ def channel_fraction_rows(
 
     shares = []
     for pol in pols:
-        p, pl, pn = pol.p, pol.pl, pol.pn
-        d = math.lcm(p.denominator, pl.denominator, pn.denominator)
-        x = p.numerator * (d // p.denominator)
-        y = pl.numerator * (d // pl.denominator)
-        z = pn.numerator * (d // pn.denominator)
+        d, x, y, z = _integer_point(pol)
         dd = d * d
         u = (dd, dd - x * y, dd - x * z, dd - y * z)
         big_a = sum(map(mul, total_r, u))

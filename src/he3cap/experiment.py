@@ -343,14 +343,12 @@ def discriminability_sweep(
     still decided by field arithmetic.  A point where the total vanishes
     raises DomainError naming it.
     """
-    if grid_resolution < 2:
-        raise DomainError(f"grid resolution must be at least 2, got {grid_resolution}")
+    values = grid_values(grid_resolution)
     if model is None:
         model = CaptureModel.uniform(mode)
     if model.mode is not mode:
         raise DomainError(f"model mode {model.mode.value} does not match sweep mode {mode.value}")
     references = _reference_settings(mode)
-    values = grid_values(grid_resolution)
     points = [
         PolarizationTriple(p, pl, pn) for p in values for pl in values for pn in values
     ]

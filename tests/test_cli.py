@@ -69,6 +69,15 @@ class TestCg:
         assert "malformed rational" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_huge_momentum_is_usage_error(self, capsys):
+        # Refused before any coefficient is computed, so this returns at once.
+        code, out, err = run(capsys, "cg", "10000000", "0", "10000000", "0", "0", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert f"at most {cli.MAX_MOMENTUM}" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestXsec:
     def test_zero_loci_at_aligned_corner(self, capsys):
@@ -480,7 +489,7 @@ class TestEntryPoints:
         assert all(hasattr(he3cap, name) for name in he3cap.__all__)
 
     @pytest.mark.parametrize(
-        ("module", "heavy"), [("he3cap", ("numpy", "scipy")), ("he3cap.cli", ("scipy",))]
+        ("module", "heavy"), [("he3cap", ("numpy", "scipy")), ("he3cap.cli", ("numpy", "scipy"))]
     )
     def test_import_does_not_load(self, module, heavy):
         # A fresh interpreter, so nothing imported by the test session counts.

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 from itertools import product
@@ -212,24 +213,133 @@ class TestTabledOracle:
         original = cross_sections._substates
 
         def corrupted(channel):
-            table = original(channel)
+            denominator, entries = original(channel)
             if channel != corrupt_channel:
-                return table
-            # Scale the first occupied interference entry (m_L != 0, b != 0)
+                return denominator, entries
+            # Double the first occupied interference entry (m_L != 0, b != 0)
             # in OAM mode; an ordinary table is rational, so its first entry.
             index = next(
                 i
-                for i, (substates, _, b) in enumerate(table)
-                if mode is CaptureMode.ORDINARY or (substates[1].twice and b)
+                for i, (substates, _, b) in enumerate(entries)
+                if mode is CaptureMode.ORDINARY or (substates[1] and b)
             )
-            substates, a, b = table[index]
-            scaled = (substates, a * Fraction(11, 10), b * Fraction(11, 10))
-            return table[:index] + (scaled,) + table[index + 1 :]
+            substates, a, b = entries[index]
+            doubled = (substates, 2 * a, 2 * b)
+            return denominator, entries[:index] + (doubled,) + entries[index + 1 :]
 
         monkeypatch.setattr(cross_sections, "_substates", corrupted)
         report = compare_with_oracle(mode, 3)
         assert not report.agreement
         assert {item.channel for item in report.discrepancies} == {corrupt_channel}
+
+
+ALL_CHANNELS = ORDINARY_CHANNELS + OAM_CHANNELS
+KNOBS = ("p", "pl", "pn")
+# Position in a table key (2*m_N, 2*m_L, 2*mu) of the substate each knob polarizes.
+KEY_POSITION = {"p": 2, "pl": 1, "pn": 0}
+KNOBS_BUT = {knob: tuple(other for other in KNOBS if other != knob) for knob in KNOBS}
+
+
+def oracle_values(models, points, doubled=lambda key: False):
+    """Oracle values with every table entry whose key satisfies `doubled` counted twice."""
+    original = cross_sections._substates
+
+    def patched(channel):
+        denominator, entries = original(channel)
+        return denominator, tuple(
+            (key, 2 * a, 2 * b) if doubled(key) else (key, a, b) for key, a, b in entries
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cross_sections, "_substates", patched)
+        return [
+            oracle(channel, pol, model).value
+            for model in models
+            for pol in points
+            for channel in model.channels
+        ]
+
+
+class TestSubstateOccupations:
+    """The integer tables and the substate occupations the oracle contracts them with."""
+
+    @pytest.mark.parametrize(
+        ("pol", "point"),
+        [
+            (PolarizationTriple.of("1/2", "-1/3", 1), (6, 3, -2, 6)),
+            (PolarizationTriple.of(0, 0, 0), (1, 0, 0, 0)),
+        ],
+        ids=["mixed-denominators", "unpolarized"],
+    )
+    def test_integer_point(self, pol, point):
+        assert cross_sections._integer_point(pol) == point
+
+    @pytest.mark.parametrize("channel", ALL_CHANNELS, ids=lambda channel: channel.label)
+    def test_orbital_momentum_follows_parity(self, channel):
+        # Even-parity compound states are fed by s-wave (L = 0) capture, odd
+        # ones by L = 1; the table lists m_L = 0 only for L = 0.
+        orbital = cross_sections._orbital_momentum(channel)
+        _, entries = cross_sections._substates(channel)
+        projections_listed = {key[1] for key, _, _ in entries}
+        if channel in ORDINARY_CHANNELS:
+            assert orbital.twice == 0
+            assert projections_listed == {0}
+        else:
+            assert orbital.twice == 2
+            assert projections_listed == {-2, 0, 2}
+
+    @pytest.mark.parametrize(
+        ("channel", "total"),
+        [(SINGLET, 1), (TRIPLET, 3), (J0, 1), (J1, 6), (J2, 5)],
+        ids=lambda value: value.label if hasattr(value, "label") else str(value),
+    )
+    def test_table_sums_to_paths_times_multiplicity(self, channel, total):
+        # Summed over every substate, each coupling path into j'' contributes
+        # 2j''+1 and two different j' paths are orthogonal, so the sqrt(2)
+        # interference cancels; only 1- is reached by two paths.
+        denominator, entries = cross_sections._substates(channel)
+        assert all(isinstance(part, int) for _, a, b in entries for part in (a, b))
+        assert math.gcd(denominator, *(part for _, a, b in entries for part in (a, b))) == 1
+        assert sum(a for _, a, _ in entries) == total * denominator
+        assert sum(b for _, _, b in entries) == 0
+
+    def test_m_l_zero_is_never_occupied_for_l_one(self):
+        # The preparation puts every L = 1 neutron into m_L = +-1, so counting
+        # the m_L = 0 entries twice changes no OAM value.
+        models = (UNIT_OAM, CaptureModel.oam(Fraction(7, 3), 2, Fraction(1, 2)))
+        points = [PolarizationTriple(*values) for values in product(grid_values(3), repeat=3)]
+        assert oracle_values(models, points, lambda key: key[1] == 0) == oracle_values(
+            models, points
+        )
+
+    @pytest.mark.parametrize("sign", (1, -1), ids=["plus", "minus"])
+    @pytest.mark.parametrize("knob", KNOBS)
+    def test_fully_polarized_knob_occupies_one_substate(self, knob, sign):
+        # At knob = sign only the substate of that sign is occupied: counting
+        # the empty substate twice changes nothing, the occupied one does.
+        models = (UNIT_OAM,) if knob == "pl" else (UNIT_OAM, UNIT_ORDINARY)
+        others = grid_values(3) + (Fraction(1, 3),)
+        points = [
+            PolarizationTriple(**{knob: Fraction(sign)}, **dict(zip(KNOBS_BUT[knob], rest)))
+            for rest in product(others, repeat=2)
+        ]
+        position = KEY_POSITION[knob]
+        reference = oracle_values(models, points)
+        assert oracle_values(models, points, lambda key: key[position] * sign < 0) == reference
+        assert oracle_values(models, points, lambda key: key[position] * sign > 0) != reference
+
+    @pytest.mark.parametrize("knob", KNOBS)
+    @given(pol=triples)
+    @settings(max_examples=30, deadline=None)
+    def test_each_knob_enters_affinely(self, knob, pol):
+        # Occupations (1 +- P)/2 make every value affine in each knob alone.
+        def at(value):
+            moved = PolarizationTriple(**{**vars(pol), knob: Fraction(value)})
+            return oracle_values((UNIT_OAM, UNIT_ORDINARY), [moved])
+
+        value = getattr(pol, knob)
+        for middle, up, down in zip(at(value), at(1), at(-1)):
+            assert middle == up * ((1 + value) / 2) + down * ((1 - value) / 2)
 
 
 class TestClosedFormEqualsOracle:
