@@ -2,10 +2,11 @@
 
 Two independent evaluation routes are kept side by side on purpose:
 
-* closed forms: one exact coefficient table per capture mode.  Every channel
-  is an affine function of the pairwise differences
+* closed forms: one exact table, a row per channel of either mode.  Every
+  channel is an affine function of the pairwise differences
   u = (1 - p*P_L, 1 - p*P_N, 1 - P_L*P_N) with Q(sqrt(2)) coefficients,
-  written term by term (including the interference coefficients
+  kept as integer numerators over one denominator and evaluated as one
+  integer dot product per part (including the interference coefficients
   6 - 4*sqrt(2) and 3 + 4*sqrt(2) of the j''=1 channel).  The table uses no
   coupling coefficient, so it stays independent of the oracle;
 * an oracle that performs the full substate sum over occupation
@@ -148,39 +149,22 @@ class ChannelCrossSection:
 _NEUTRON_SPIN = HalfInt(1)
 _HE3_SPIN = HalfInt(1)
 
-_Terms = tuple[tuple[int, Fraction], ...]
-
-
-def _bracket(denominator: int, *coefficients: int | tuple[int, int]) -> tuple[_Terms, _Terms]:
-    """Table row for (c0 + c1*u1 + c2*u2 + c3*u3) / denominator.
-
-    A coefficient is an int, or a pair (a, b) meaning a + b*sqrt(2).  The row
-    keeps the rational and the sqrt(2) parts apart, each as (k, c) pairs for
-    the nonzero coefficients only; k = 0 is the constant term.
-    """
-    rational, root = [], []
-    for k, coefficient in enumerate(coefficients):
-        a, b = coefficient if isinstance(coefficient, tuple) else (coefficient, 0)
-        if a:
-            rational.append((k, Fraction(a, denominator)))
-        if b:
-            root.append((k, Fraction(b, denominator)))
-    return tuple(rational), tuple(root)
-
+# A closed-form row: one denominator D and the integer numerators of the
+# rational and the sqrt(2) parts of (c0, c1, c2, c3), so that at K = 1
+# sigma = (rational + root*sqrt(2)) . (1, u1, u2, u3) / D.
+_Row = tuple[int, tuple[int, int, int, int], tuple[int, int, int, int]]
 
 # Brackets in the u-basis u = (1 - p*P_L, 1 - p*P_N, 1 - P_L*P_N), so each
 # u_k vanishes when its pair of polarizations is aligned.  The sqrt(2) parts
 # of the j''=1 channel come from interference between the two coupled
 # neutron states.
-_ORDINARY_BRACKETS = {
-    SINGLET: _bracket(4, 0, 0, 1, 0),  # u2 / 4
-    TRIPLET: _bracket(4, 4, 0, -1, 0),  # (4 - u2) / 4
-}
-_OAM_BRACKETS = {
-    OAM_CHANNELS[0]: _bracket(12, 0, 1, -1, 1),  # (u1 - u2 + u3) / 12
+_BRACKETS: dict[Channel, _Row] = {
+    SINGLET: (4, (0, 0, 1, 0), (0, 0, 0, 0)),  # u2 / 4
+    TRIPLET: (4, (4, 0, -1, 0), (0, 0, 0, 0)),  # (4 - u2) / 4
+    OAM_CHANNELS[0]: (12, (0, 1, -1, 1), (0, 0, 0, 0)),  # (u1 - u2 + u3) / 12
     # (3u1 + (6 - 4*sqrt(2))u2 + (3 + 4*sqrt(2))u3) / 24
-    OAM_CHANNELS[1]: _bracket(24, 0, 3, (6, -4), (3, 4)),
-    OAM_CHANNELS[2]: _bracket(24, 24, -5, -4, -5),  # (24 - 5u1 - 4u2 - 5u3) / 24
+    OAM_CHANNELS[1]: (24, (0, 3, 6, 3), (0, 0, -4, 4)),
+    OAM_CHANNELS[2]: (24, (24, -5, -4, -5), (0, 0, 0, 0)),  # (24 - 5u1 - 4u2 - 5u3) / 24
 }
 
 
@@ -189,20 +173,31 @@ def _require_mode(model: CaptureModel, mode: CaptureMode, operation: str) -> Non
         raise ModeMismatchError(f"{operation} requires a {mode.value}-mode model")
 
 
+def _integer_point(pol: PolarizationTriple) -> tuple[int, int, int, int]:
+    """(d, x, y, z) with d the lcm of the three denominators, p = x/d, P_L = y/d, P_N = z/d."""
+    d = math.lcm(pol.p.denominator, pol.pl.denominator, pol.pn.denominator)
+    return (d, *(v.numerator * (d // v.denominator) for v in (pol.p, pol.pl, pol.pn)))
+
+
+def _u_numerators(pol: PolarizationTriple) -> tuple[int, int, int, int]:
+    """(d^2, d^2 - xy, d^2 - xz, d^2 - yz), which is d^2 * (1, u1, u2, u3) in integers."""
+    d, x, y, z = _integer_point(pol)
+    dd = d * d
+    return dd, dd - x * y, dd - x * z, dd - y * z
+
+
 def _tabulated(
-    table: dict[Channel, tuple[_Terms, _Terms]],
-    channel: Channel,
-    pol: PolarizationTriple,
-    model: CaptureModel,
+    channel: Channel, pol: PolarizationTriple, model: CaptureModel
 ) -> ChannelCrossSection:
+    """K * (R + S*sqrt(2)) . U / (D * d^2): the channel's row (D, R, S), U from _u_numerators."""
     strength = model.strength(channel)  # rejects channels of the other mode
-    rational_terms, root_terms = table[channel]
-    u = (1, 1 - pol.p * pol.pl, 1 - pol.p * pol.pn, 1 - pol.pl * pol.pn)
-    rational = sum(c * u[k] for k, c in rational_terms)
-    root = sum(c * u[k] for k, c in root_terms)
-    if strength != 1:  # unit models, the common case, skip two products
-        rational, root = strength * rational, strength * root
-    return ChannelCrossSection(channel, QuadRational(rational, root))
+    denominator, rational, root = _BRACKETS[channel]
+    u = _u_numerators(pol)
+    k, scale = strength.numerator, strength.denominator * denominator * u[0]
+    value = QuadRational(
+        Fraction(k * sum(map(mul, rational, u)), scale), Fraction(k * sum(map(mul, root, u)), scale)
+    )
+    return ChannelCrossSection(channel, value)
 
 
 def ordinary_closed_form(
@@ -213,7 +208,7 @@ def ordinary_closed_form(
     Triplet: K/4 * (3 + p*P_N); singlet: K/4 * (1 - p*P_N).  P_L is ignored.
     """
     _require_mode(model, CaptureMode.ORDINARY, "ordinary_closed_form")
-    return _tabulated(_ORDINARY_BRACKETS, channel, pol, model)
+    return _tabulated(channel, pol, model)
 
 
 def oam_closed_form(
@@ -225,13 +220,7 @@ def oam_closed_form(
     products p*P_L, p*P_N, and P_L*P_N.
     """
     _require_mode(model, CaptureMode.OAM, "oam_closed_form")
-    return _tabulated(_OAM_BRACKETS, channel, pol, model)
-
-
-def _integer_point(pol: PolarizationTriple) -> tuple[int, int, int, int]:
-    """(d, x, y, z) with d the lcm of the three denominators, p = x/d, P_L = y/d, P_N = z/d."""
-    d = math.lcm(pol.p.denominator, pol.pl.denominator, pol.pn.denominator)
-    return (d, *(v.numerator * (d // v.denominator) for v in (pol.p, pol.pl, pol.pn)))
+    return _tabulated(channel, pol, model)
 
 
 def _orbital_momentum(channel: Channel) -> HalfInt:
@@ -388,26 +377,24 @@ _ANCHORS = (
 )
 
 
-def u_coefficients(
-    mode: CaptureMode,
-) -> tuple[list[list[int]], list[list[int]], list[int]]:
+def u_coefficients(mode: CaptureMode) -> list[_Row]:
     """Each channel's (c0, c1, c2, c3) at K = 1: sigma = c0 + c1*u1 + c2*u2 + c3*u3.
 
-    Returned as integer numerators of the rational and the sqrt(2) parts,
-    one row of four per channel, and one common denominator per channel.
-    The coefficients are read off closed_form at call time, so callers
-    evaluate whatever closed form is in force rather than a copy of it.
+    Returned as one row (D, rational, root) per channel, the closed-form
+    table's format, over the lowest common denominator D.  The coefficients
+    are read off closed_form at call time, so callers evaluate whatever
+    closed form is in force rather than a copy of it.
     """
     unit = CaptureModel.uniform(mode)
-    rational, root, denominators = [], [], []
+    rows = []
     for channel in channels_for(mode):
         origin, ones, *knocked = (closed_form(channel, pol, unit).value for pol in _ANCHORS)
         row = [origin] + [ones - value for value in knocked]
         denominator = math.lcm(*(part.denominator for c in row for part in (c.a, c.b)))
-        rational.append([c.a.numerator * (denominator // c.a.denominator) for c in row])
-        root.append([c.b.numerator * (denominator // c.b.denominator) for c in row])
-        denominators.append(denominator)
-    return rational, root, denominators
+        rational = tuple(c.a.numerator * (denominator // c.a.denominator) for c in row)
+        root = tuple(c.b.numerator * (denominator // c.b.denominator) for c in row)
+        rows.append((denominator, rational, root))
+    return rows
 
 
 def channel_fraction_rows(
@@ -416,8 +403,8 @@ def channel_fraction_rows(
     """Exact share of each channel in the total cross-section, one row per point.
 
     Channel c is (n_c/m_c) * (R_c + S_c*sqrt(2)) . U / (D_c * d^2), with
-    R_c, S_c and D_c from u_coefficients, K_c = n_c/m_c, d the lcm of the
-    point's three denominators and U = (d^2, d^2*u1, d^2*u2, d^2*u3) in
+    (D_c, R_c, S_c) its row from u_coefficients, K_c = n_c/m_c, d the lcm of
+    the point's three denominators and U = (d^2, d^2*u1, d^2*u2, d^2*u3) in
     integers.  One integer weight per channel brings every channel to a
     common scale, which cancels in the shares, so sigma_c is proportional to
     a_c + b_c*sqrt(2) with integers a_c, b_c.  With A and B their sums, each
@@ -426,7 +413,7 @@ def channel_fraction_rows(
     when the total does, since sqrt(2) is irrational; that raises
     DomainError naming the first such point.
     """
-    rational, root, denominators = u_coefficients(model.mode)
+    denominators, rational, root = zip(*u_coefficients(model.mode))
     scale = math.lcm(
         *(k.denominator * denominator for k, denominator in zip(model.strengths, denominators))
     )
@@ -441,9 +428,7 @@ def channel_fraction_rows(
 
     shares = []
     for pol in pols:
-        d, x, y, z = _integer_point(pol)
-        dd = d * d
-        u = (dd, dd - x * y, dd - x * z, dd - y * z)
+        u = _u_numerators(pol)
         big_a = sum(map(mul, total_r, u))
         big_b = sum(map(mul, total_s, u))
         norm = big_a * big_a - 2 * big_b * big_b

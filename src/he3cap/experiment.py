@@ -136,8 +136,8 @@ def _unit_brackets(pols: Sequence[PolarizationTriple], mode: CaptureMode) -> np.
     # Integer numerators, with the two parts summed apart as in the exact
     # table: on a dyadic grid both sums are exact, and a rational entry is
     # correctly rounded by the one division.
-    rational, root, denominators = (
-        np.array(part, dtype=float) for part in u_coefficients(mode)
+    denominators, rational, root = (
+        np.array(part, dtype=float) for part in zip(*u_coefficients(mode))
     )
     values = (basis @ rational.T + math.sqrt(2) * (basis @ root.T)) / denominators
     channels = channels_for(mode)
@@ -241,8 +241,8 @@ def fit_strengths(
 
     Channel-summed (default): fit_rates on the total captures per setting
     with Poisson weights 1/max(count, 1).  Channel-resolved: each record
-    must carry channel_counts; every (setting, channel) pair becomes its own
-    weighted observation.
+    must carry one channel count per channel of the mode; every (setting,
+    channel) pair becomes its own weighted observation.
     """
     if not records:
         raise DomainError("at least one count record is required")
@@ -251,21 +251,20 @@ def fit_strengths(
         counts = np.array([record.capture_counts for record in records], dtype=float)
         return fit_rates(settings, counts, mode, weights=1.0 / np.maximum(counts, 1.0))
 
-    if any(record.channel_counts is None for record in records):
-        raise DomainError("channel-resolved fitting needs channel_counts on every record")
     channels = channels_for(mode)
+    for index, record in enumerate(records):
+        if record.channel_counts is None:
+            raise DomainError("channel-resolved fitting needs channel_counts on every record")
+        if len(record.channel_counts) != len(channels):
+            raise DomainError(
+                f"record {index} has {len(record.channel_counts)} channel counts, "
+                f"but {mode.value} mode has {len(channels)} channels"
+            )
     scale = np.array([s.exposure * s.depth for s in settings])
     design = design_matrix(settings, mode) * scale[:, None]
-    rows = []
-    counts_list = []
-    for record, design_row in zip(records, design):
-        for channel_index, count in enumerate(record.channel_counts):
-            row = np.zeros(len(channels))
-            row[channel_index] = design_row[channel_index]
-            rows.append(row)
-            counts_list.append(float(count))
-    stacked = np.array(rows)
-    counts = np.array(counts_list)
+    # Row (i, c) of the stacked design keeps only channel c of setting i.
+    stacked = (design[:, :, None] * np.eye(len(channels))).reshape(-1, len(channels))
+    counts = np.array([float(count) for record in records for count in record.channel_counts])
     weights = 1.0 / np.maximum(counts, 1.0)
     return _weighted_nnls(stacked, counts, weights, channels)
 
@@ -326,9 +325,7 @@ def _reference_settings(mode: CaptureMode) -> list[PolarizationTriple]:
     return [PolarizationTriple.of(0, 0, 0)]
 
 
-def discriminability_sweep(
-    grid_resolution: int, mode: CaptureMode, model: CaptureModel | None = None
-) -> list[SweepPoint]:
+def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[SweepPoint]:
     """Rank grid points by how well they complete a strength-fitting design.
 
     For every point of the uniform grid over [-1, 1]^3 this reports the exact
@@ -344,15 +341,11 @@ def discriminability_sweep(
     raises DomainError naming it.
     """
     values = grid_values(grid_resolution)
-    if model is None:
-        model = CaptureModel.uniform(mode)
-    if model.mode is not mode:
-        raise DomainError(f"model mode {model.mode.value} does not match sweep mode {mode.value}")
-    references = _reference_settings(mode)
+    references = _reference_settings(model.mode)
     points = [
         PolarizationTriple(p, pl, pn) for p in values for pl in values for pn in values
     ]
-    rows = _unit_brackets(references + points, mode)
+    rows = _unit_brackets(references + points, model.mode)
     # One square design per point: the reference rows, then the point's row.
     designs = np.empty((len(points), len(references) + 1, rows.shape[1]))
     designs[:, :-1] = rows[: len(references)]

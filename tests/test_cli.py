@@ -1,5 +1,7 @@
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -181,10 +183,11 @@ class TestOracleCheck:
     @pytest.mark.parametrize("command", ["sweep", "oracle-check"])
     def test_grid_too_large_is_usage_error(self, capsys, command):
         # Refused before any point is built, so this returns at once.
-        code, _, err = run(capsys, command, "--grid", "1000000000", "--mode", "oam")
-        assert code == 2
-        assert f"at most {cli.MAX_GRID}" in err
-        assert len(err.strip().splitlines()) == 1
+        for grid in (cli.MAX_GRID + 1, 1000000000):
+            code, _, err = run(capsys, command, "--grid", str(grid), "--mode", "oam")
+            assert code == 2
+            assert f"at most {cli.MAX_GRID} ({cli.MAX_GRID**3} points)" in err
+            assert len(err.strip().splitlines()) == 1
 
 
 class TestSweep:
@@ -337,6 +340,33 @@ class TestSimulateAndFit:
         assert len(err.strip().splitlines()) == 1
         assert where in err
 
+    @pytest.mark.parametrize(
+        ("columns", "mode", "channels"),
+        [(4, "oam", 3), (3, "ordinary", 2), (2, "oam", 3)],
+        ids=["four-columns-oam", "three-columns-ordinary", "two-columns-oam"],
+    )
+    def test_channel_columns_must_match_the_mode(
+        self, capsys, settings_file, tmp_path, columns, mode, channels
+    ):
+        names = ",".join(f"capture_j{j}" for j in range(columns))
+        rows = "".join(f"{i},{columns},100{',1' * columns}\n" for i in range(4))
+        counts_path = tmp_path / "counts.csv"
+        counts_path.write_text(f"setting_id,capture,transmitted,{names}\n{rows}")
+        code, out, err = run(
+            capsys,
+            "fit",
+            "--settings", str(settings_file),
+            "--counts", str(counts_path),
+            "--mode", mode,
+            "--channel-resolved",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: record 0 has {columns} channel counts, "
+            f"but {mode} mode has {channels} channels\n"
+        )
+
     @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890"])
     def test_negative_seed_is_usage_error(self, capsys, settings_file, seed):
         code, out, err = run(
@@ -412,12 +442,15 @@ class TestArbitraryInputFiles:
     @example(b"setting_id,capture,transmitted\n0,\xff,1\n")
     @example(b"setting_id,capture,transmitted\n0,1e-9999999,1\n")
     @example(b"setting_id,capture,transmitted\n0," + b"9" * 400 + b",1\n")
+    @example(
+        b"setting_id,capture,transmitted,capture_j0,capture_j1,capture_j2,capture_j3\n"
+        b"0,4,1,1,1,1,1\n1,4,1,1,1,1,1\n2,4,1,1,1,1,1\n3,4,1,1,1,1,1\n"
+    )
     @settings(max_examples=150, deadline=2000)
     def test_counts_file(self, data):
-        _main_on_files(
-            {"settings": SETTINGS_CSV.encode(), "counts": data},
-            ["fit", "--settings", "{settings}", "--counts", "{counts}", "--mode", "oam"],
-        )
+        argv = ["fit", "--settings", "{settings}", "--counts", "{counts}", "--mode", "oam"]
+        for flags in ([], ["--channel-resolved"]):
+            _main_on_files({"settings": SETTINGS_CSV.encode(), "counts": data}, argv + flags)
 
 
 class TestLevelsAndKinematics:
@@ -455,6 +488,31 @@ class TestLevelsAndKinematics:
         code, out, _ = run(capsys, "kinematics", "--q", "800")
         assert code == 1
         assert "FAIL" in out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(language: str) -> list[str]:
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+
+
+class TestReadmeExamples:
+    """The README's examples run as written and show what the package does."""
+
+    def test_commands_print_the_output_shown(self, capsys):
+        shown = []
+        for block in _readme_blocks("sh"):
+            # A command followed by '# ' lines shows its output.
+            for command, output in re.findall(r"^he3cap (.*)\n((?:# .*\n)+)", block, re.MULTILINE):
+                argv = shlex.split(command)
+                assert run(capsys, *argv) == (0, re.sub(r"(?m)^# ", "", output), "")
+                shown.append(argv[0])
+        assert shown == ["cg", "xsec"]
+
+    def test_library_block_runs(self):
+        (block,) = _readme_blocks("python")
+        exec(compile(block, str(README), "exec"), {})
 
 
 class TestEntryPoints:

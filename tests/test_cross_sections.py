@@ -487,6 +487,13 @@ class TestFractionRows:
             reference.append(tuple(value / total for value in sections))
         assert cross_sections.channel_fraction_rows(defined, model) == reference
 
+    @pytest.mark.parametrize("mode", list(CaptureMode), ids=lambda mode: mode.value)
+    def test_u_coefficients_read_back_the_table(self, mode):
+        # The anchors recover each row of the shipped closed form exactly.
+        assert cross_sections.u_coefficients(mode) == [
+            cross_sections._BRACKETS[channel] for channel in channels_for(mode)
+        ]
+
     def test_first_zero_total_is_named(self):
         # The 0- channel alone vanishes wherever all three polarizations align.
         pols = [PolarizationTriple.of(*signs) for signs in ((0, 0, 0), (1, 1, 1), (-1, -1, -1))]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from he3cap import cross_sections
+from he3cap import cross_sections, experiment
 from he3cap.cross_sections import (
     OAM_CHANNELS,
     CaptureMode,
@@ -195,6 +195,28 @@ class TestFitting:
         ):
             assert abs(estimate - true) < 4 * sigma
 
+    def test_channel_resolved_stacking_matches_a_per_row_loop(self):
+        # Reference: one row per (setting, channel), zero but for that channel.
+        settings = cube_settings(3, exposure=1e6, depth=1e-3)
+        records = simulate_counts(settings, CaptureModel.oam(1, 2, "1/2"), seed=5)
+        scale = np.array([s.exposure * s.depth for s in settings])
+        design = design_matrix(settings, CaptureMode.OAM) * scale[:, None]
+        rows, counts = [], []
+        for record, design_row in zip(records, design):
+            for index, count in enumerate(record.channel_counts):
+                row = np.zeros(len(OAM_CHANNELS))
+                row[index] = design_row[index]
+                rows.append(row)
+                counts.append(float(count))
+        counts = np.array(counts)
+        reference = experiment._weighted_nnls(
+            np.array(rows), counts, 1.0 / np.maximum(counts, 1.0), OAM_CHANNELS
+        )
+        result = fit_strengths(records, CaptureMode.OAM, channel_resolved=True)
+        assert result.strengths == reference.strengths
+        assert np.array_equal(result.covariance, reference.covariance)
+        assert result.residual_norm == reference.residual_norm
+
     def test_channel_resolved_requires_channel_counts(self):
         records = [CountRecord(setting(0, 0, 0), 10, 5), CountRecord(setting(1, 1, 1), 10, 5)]
         with pytest.raises(DomainError):
@@ -257,7 +279,7 @@ class TestSimulation:
 
 class TestSweep:
     def test_corner_fractions_at_resolution_two(self):
-        sweep = discriminability_sweep(2, CaptureMode.OAM)
+        sweep = discriminability_sweep(2, CaptureModel.uniform(CaptureMode.OAM))
         assert len(sweep) == 8
         corner = next(
             point for point in sweep if (point.pol.p, point.pol.pl, point.pol.pn) == (1, 1, 1)
@@ -269,7 +291,7 @@ class TestSweep:
         )
 
     def test_resolution_three_contains_unpolarized_weights(self):
-        sweep = discriminability_sweep(3, CaptureMode.OAM)
+        sweep = discriminability_sweep(3, CaptureModel.uniform(CaptureMode.OAM))
         assert len(sweep) == 27
         center = next(
             point for point in sweep if (point.pol.p, point.pol.pl, point.pol.pn) == (0, 0, 0)
@@ -281,14 +303,14 @@ class TestSweep:
         )
 
     def test_ordinary_fractions_independent_of_pl(self):
-        sweep = discriminability_sweep(3, CaptureMode.ORDINARY)
+        sweep = discriminability_sweep(3, CaptureModel.uniform(CaptureMode.ORDINARY))
         by_p_pn = {}
         for point in sweep:
             by_p_pn.setdefault((point.pol.p, point.pol.pn), set()).add(point.fractions)
         assert all(len(variants) == 1 for variants in by_p_pn.values())
 
     def test_sorted_by_condition_number_then_lexicographic(self):
-        sweep = discriminability_sweep(3, CaptureMode.OAM)
+        sweep = discriminability_sweep(3, CaptureModel.uniform(CaptureMode.OAM))
         keys = [
             (point.condition_number, point.pol.p, point.pol.pl, point.pol.pn)
             for point in sweep
@@ -296,7 +318,7 @@ class TestSweep:
         assert keys == sorted(keys)
 
     def test_fractions_sum_to_one(self):
-        for point in discriminability_sweep(3, CaptureMode.OAM):
+        for point in discriminability_sweep(3, CaptureModel.uniform(CaptureMode.OAM)):
             total = QuadRational.zero()
             for share in point.fractions:
                 total = total + share
@@ -304,16 +326,16 @@ class TestSweep:
 
     def test_resolution_below_two_rejected(self):
         with pytest.raises(DomainError):
-            discriminability_sweep(1, CaptureMode.OAM)
+            discriminability_sweep(1, CaptureModel.uniform(CaptureMode.OAM))
 
     def test_fractions_follow_the_closed_form_in_force(self, monkeypatch):
         model = CaptureModel.oam("7/3", 2, "1/2")
         before = {
             point.pol: point.fractions
-            for point in discriminability_sweep(3, CaptureMode.OAM, model)
+            for point in discriminability_sweep(3, model)
         }
         wrong_closed_form = _patch_wrong_j1_closed_form(monkeypatch)
-        after = discriminability_sweep(3, CaptureMode.OAM, model)
+        after = discriminability_sweep(3, model)
         assert any(point.fractions != before[point.pol] for point in after)
         for point in after:
             sections = [wrong_closed_form(ch, point.pol, model).value for ch in OAM_CHANNELS]
@@ -321,9 +343,8 @@ class TestSweep:
             assert point.fractions == tuple(value / total for value in sections)
 
     def test_deterministic(self):
-        assert discriminability_sweep(3, CaptureMode.OAM) == discriminability_sweep(
-            3, CaptureMode.OAM
-        )
+        model = CaptureModel.uniform(CaptureMode.OAM)
+        assert discriminability_sweep(3, model) == discriminability_sweep(3, model)
 
 
 class TestFileFormats:
