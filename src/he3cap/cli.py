@@ -314,10 +314,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = discriminability_sweep(args.grid, model)
     channels = channels_for(args.mode)
     headers = ["p", "P_L", "P_N"] + [f"frac_j{ch.j_final}" for ch in channels] + ["condition"]
-    # Rendering every fraction to decimal dominates a large sweep, so only
-    # the form that _emit writes is built.
+    # Only the form that _emit writes is built.
     rows, payload = [], {}
     if args.json:
+        labels = [ch.label for ch in channels]
         payload = {
             "mode": args.mode.value,
             "grid": args.grid,
@@ -326,10 +326,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     "p": str(point.pol.p),
                     "P_L": str(point.pol.pl),
                     "P_N": str(point.pol.pn),
-                    "fractions": {
-                        ch.label: fraction.decimal_str()
-                        for ch, fraction in zip(channels, point.fractions)
-                    },
+                    "fractions": dict(zip(labels, point.decimals)),
                     "condition_number": point.condition_number,
                 }
                 for point in points
@@ -338,7 +335,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         rows = [
             [str(point.pol.p), str(point.pol.pl), str(point.pol.pn)]
-            + [fraction.decimal_str() for fraction in point.fractions]
+            + list(point.decimals)
             + [f"{point.condition_number:.6g}"]
             for point in points
         ]

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .angular import HalfInt, cg, coupling_range, projections
 from .errors import DomainError, ModeMismatchError
@@ -175,8 +175,14 @@ def _require_mode(model: CaptureModel, mode: CaptureMode, operation: str) -> Non
 
 def _integer_point(pol: PolarizationTriple) -> tuple[int, int, int, int]:
     """(d, x, y, z) with d the lcm of the three denominators, p = x/d, P_L = y/d, P_N = z/d."""
-    d = math.lcm(pol.p.denominator, pol.pl.denominator, pol.pn.denominator)
-    return (d, *(v.numerator * (d // v.denominator) for v in (pol.p, pol.pl, pol.pn)))
+    p, pl, pn = pol.p, pol.pl, pol.pn
+    d = math.lcm(p.denominator, pl.denominator, pn.denominator)
+    return (
+        d,
+        p.numerator * (d // p.denominator),
+        pl.numerator * (d // pl.denominator),
+        pn.numerator * (d // pn.denominator),
+    )
 
 
 def _u_numerators(pol: PolarizationTriple) -> tuple[int, int, int, int]:
@@ -397,23 +403,38 @@ def u_coefficients(mode: CaptureMode) -> list[_Row]:
     return rows
 
 
-def channel_fraction_rows(
-    pols: Sequence[PolarizationTriple], model: CaptureModel
-) -> list[tuple[QuadRational, ...]]:
-    """Exact share of each channel in the total cross-section, one row per point.
+# A channel's share (P + Q*sqrt(2)) / N of the total, as integers with N > 0.
+Share = tuple[int, int, int]
 
-    Channel c is (n_c/m_c) * (R_c + S_c*sqrt(2)) . U / (D_c * d^2), with
-    (D_c, R_c, S_c) its row from u_coefficients, K_c = n_c/m_c, d the lcm of
-    the point's three denominators and U = (d^2, d^2*u1, d^2*u2, d^2*u3) in
-    integers.  One integer weight per channel brings every channel to a
-    common scale, which cancels in the shares, so sigma_c is proportional to
+
+def share_value(share: Share) -> QuadRational:
+    """The QuadRational (P + Q*sqrt(2)) / N of a (P, Q, N) share."""
+    p, q, n = share
+    return QuadRational(Fraction(p, n), Fraction(q, n))
+
+
+def channel_share_numerators(
+    points: Iterable[tuple[tuple[int, int, int, int], PolarizationTriple]],
+    model: CaptureModel,
+    coefficients: Sequence[_Row],
+) -> list[tuple[Share, ...]]:
+    """Exact share of each channel in the total cross-section, as integers.
+
+    points pairs each point's u-numerators U = _u_numerators(pol) with the
+    point, which only names a point where the total vanishes; coefficients
+    are the rows of u_coefficients(model.mode).  Channel c is
+    (n_c/m_c) * (R_c + S_c*sqrt(2)) . U / (D_c * d^2), with (D_c, R_c, S_c)
+    its row, K_c = n_c/m_c and d the lcm of the point's three denominators.
+    One integer weight per channel brings every channel to a common scale,
+    which cancels in the shares, so sigma_c is proportional to
     a_c + b_c*sqrt(2) with integers a_c, b_c.  With A and B their sums, each
     share is ((a_c*A - 2*b_c*B) + (b_c*A - a_c*B)*sqrt(2)) / (A^2 - 2*B^2),
-    and only those final Fractions are built.  A^2 - 2*B^2 vanishes exactly
-    when the total does, since sqrt(2) is irrational; that raises
-    DomainError naming the first such point.
+    returned as that (P, Q, N) with the signs turned so that N > 0, and not
+    reduced.  A^2 - 2*B^2 vanishes exactly when the total does, since
+    sqrt(2) is irrational; that raises DomainError naming the first such
+    point.
     """
-    denominators, rational, root = zip(*u_coefficients(model.mode))
+    denominators, rational, root = zip(*coefficients)
     scale = math.lcm(
         *(k.denominator * denominator for k, denominator in zip(model.strengths, denominators))
     )
@@ -427,8 +448,7 @@ def channel_fraction_rows(
     total_s = [sum(column) for column in zip(*scaled_s)]
 
     shares = []
-    for pol in pols:
-        u = _u_numerators(pol)
+    for u, pol in points:
         big_a = sum(map(mul, total_r, u))
         big_b = sum(map(mul, total_s, u))
         norm = big_a * big_a - 2 * big_b * big_b
@@ -436,16 +456,28 @@ def channel_fraction_rows(
             raise DomainError(
                 f"total cross-section is zero at {pol}; channel fractions are undefined"
             )
+        if norm < 0:
+            # Turning A and B turns P and Q, so N = -norm keeps each share.
+            big_a, big_b, norm = -big_a, -big_b, -norm
         row = []
         for r, s in zip(scaled_r, scaled_s):
             a, b = sum(map(mul, r, u)), sum(map(mul, s, u))
-            row.append(
-                QuadRational(
-                    Fraction(a * big_a - 2 * b * big_b, norm), Fraction(b * big_a - a * big_b, norm)
-                )
-            )
+            row.append((a * big_a - 2 * b * big_b, b * big_a - a * big_b, norm))
         shares.append(tuple(row))
     return shares
+
+
+def channel_fraction_rows(
+    pols: Sequence[PolarizationTriple], model: CaptureModel
+) -> list[tuple[QuadRational, ...]]:
+    """Exact share of each channel in the total, as QuadRationals, one row per point.
+
+    The integers come from channel_share_numerators, with the closed forms
+    in force read once through u_coefficients.
+    """
+    points = [(_u_numerators(pol), pol) for pol in pols]
+    rows = channel_share_numerators(points, model, u_coefficients(model.mode))
+    return [tuple(share_value(share) for share in row) for row in rows]
 
 
 def channel_fractions(

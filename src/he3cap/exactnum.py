@@ -4,7 +4,9 @@ Coupling coefficients are signed square roots of rationals.  Squared
 amplitudes, once interference cross-terms appear, live in the quadratic
 extension a + b*sqrt(2).  Keeping both representations exact lets every
 cross-section identity downstream be checked as a field equality instead of
-a float comparison; floats only appear at the display boundary.
+a float comparison; floats only appear at the display boundary.  Decimals
+are rendered by one integer routine, render_decimal, which takes the value
+as integers (P + Q*sqrt(R)) / N and never builds a Fraction or a Decimal.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 from .errors import UnsupportedRadicandError
@@ -60,30 +60,83 @@ def exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _fraction_to_decimal(q: Fraction) -> Decimal:
-    return Decimal(q.numerator) / Decimal(q.denominator)
+def _sign(p: int, q: int, radicand: int) -> int:
+    """Exact sign of p + q*sqrt(radicand); radicand is not a perfect square when q != 0."""
+    sign_p, sign_q = (p > 0) - (p < 0), (q > 0) - (q < 0)
+    if sign_q == 0 or sign_p == sign_q:
+        return sign_p
+    if sign_p == 0:
+        return sign_q
+    # Opposite signs: the larger of p^2 and radicand*q^2 wins; they cannot be equal.
+    return sign_p if p * p > radicand * q * q else sign_q
 
 
-# Rendering uses two precisions (decimal_str's default and float()), so a
-# few entries cover every caller.
-@lru_cache(maxsize=8)
-def _sqrt2(precision: int) -> Decimal:
-    """sqrt(2) correctly rounded to the given number of digits."""
-    with localcontext() as ctx:
-        ctx.prec = precision
-        return Decimal(2).sqrt()
+def _decimal_exponent(p: int, q: int, n: int, radicand: int) -> int:
+    """floor(log10((p + q*sqrt(radicand)) / n)) of a positive value, give or take one.
 
-
-def _round_to_significant(value: Decimal, significant_digits: int) -> str:
-    """Round to the given number of significant digits; plain positional form.
-
-    Trailing zeros that carry no information are dropped, so exact values
-    render as '0.75' or '24' while irrational ones keep all digits.
+    With parts of one sign the sum is within a factor of 2 of the larger
+    part.  With opposite signs it is (p^2 - radicand*q^2) / (p - q*sqrt(radicand)),
+    whose denominator is within a factor of 2 of its larger part, so a sum
+    that cancels deeply is still placed to within one digit.
     """
-    with localcontext() as ctx:
-        ctx.prec = significant_digits
-        # normalize() rounds to the context precision, so it must run inside.
-        return format(value.normalize(), "f")
+    parts = [math.log10(abs(p))] if p else []
+    if q:
+        parts.append(math.log10(abs(q)) + math.log10(radicand) / 2)
+    if q and p and (p > 0) != (q > 0):
+        top = math.log10(abs(p * p - radicand * q * q)) - max(parts)
+    else:
+        top = max(parts)
+    return math.floor(top - math.log10(n))
+
+
+def render_decimal(
+    p: int, q: int, n: int, significant_digits: int = 15, radicand: int = 2
+) -> str:
+    """(p + q*sqrt(radicand)) / n, correctly rounded, in plain positional form.
+
+    All arguments are integers; n is nonzero, and radicand is not a perfect
+    square unless q == 0.  The value is scaled by a power of ten so that its
+    integer part carries one to three digits beyond the ones kept, and that
+    integer part is exact: floor(q * 10^k * sqrt(radicand)) is math.isqrt of
+    radicand * (q * 10^k)^2.  Rounding is half-even.  A tie can only be exact
+    when q == 0; otherwise the value is irrational and the remainder beyond
+    the integer part decides.  Trailing zeros that carry no information are
+    dropped, so exact values render as '0.75' or '24' while irrational ones
+    keep all their digits.
+    """
+    if n < 0:
+        p, q, n = -p, -q, -n
+    sign = _sign(p, q, radicand)
+    if sign == 0:
+        return "0"
+    if sign < 0:
+        p, q = -p, -q
+    # Two guard digits cover the estimate's error of one in either direction.
+    k = significant_digits + 1 - _decimal_exponent(p, q, n, radicand)
+    up, down = (10**k, n) if k >= 0 else (1, n * 10**-k)
+    root = math.isqrt(radicand * (q * up) ** 2)
+    if q < 0:
+        root = -root - 1  # isqrt rounds the magnitude down; floor needs one less
+    scaled, remainder = divmod(p * up + root, down)
+    exact = q == 0 and remainder == 0
+
+    guard = len(str(scaled)) - significant_digits
+    digits, dropped = divmod(scaled, 10**guard)
+    half = 10**guard // 2
+    if dropped > half or (dropped == half and (not exact or digits % 2)):
+        digits += 1
+    k -= guard
+
+    kept = str(digits)
+    text = kept.rstrip("0")
+    k -= len(kept) - len(text)
+    if k <= 0:
+        body = text + "0" * -k
+    elif len(text) > k:
+        body = f"{text[:-k]}.{text[-k:]}"
+    else:
+        body = "0." + "0" * (k - len(text)) + text
+    return "-" + body if sign < 0 else body
 
 
 @dataclass(frozen=True)
@@ -165,12 +218,13 @@ class SqrtRational:
 
     def decimal_str(self, significant_digits: int = 15) -> str:
         """Correctly rounded decimal rendering at the given precision."""
-        if self.sign == 0:
-            return "0"
-        with localcontext() as ctx:
-            ctx.prec = significant_digits + 25
-            value = self.sign * _fraction_to_decimal(self.radicand).sqrt()
-        return _round_to_significant(value, significant_digits)
+        root = exact_sqrt(self.radicand)
+        if root is not None:
+            p, n = self.sign * root.numerator, root.denominator
+            return render_decimal(p, 0, n, significant_digits)
+        # sqrt(a/b) = sqrt(a*b)/b, and a*b is not a square when a/b is not.
+        a, b = self.radicand.numerator, self.radicand.denominator
+        return render_decimal(0, self.sign, b, significant_digits, radicand=a * b)
 
     def __str__(self) -> str:
         if self.sign == 0:
@@ -333,21 +387,22 @@ class QuadRational:
 
     # -- rendering -------------------------------------------------------------
 
-    def _decimal(self, precision: int) -> Decimal:
-        with localcontext() as ctx:
-            ctx.prec = precision
-            return _fraction_to_decimal(self.a) + _fraction_to_decimal(self.b) * _sqrt2(precision)
-
     def decimal_str(self, significant_digits: int = 15) -> str:
-        """Correctly rounded decimal rendering at the given precision."""
-        if self.is_zero:
-            return "0"
-        return _round_to_significant(self._decimal(significant_digits + 25), significant_digits)
+        """Correctly rounded decimal rendering at the given precision (render_decimal)."""
+        n = math.lcm(self.a.denominator, self.b.denominator)
+        return render_decimal(
+            self.a.numerator * (n // self.a.denominator),
+            self.b.numerator * (n // self.b.denominator),
+            n,
+            significant_digits,
+        )
 
     def __float__(self) -> float:
         if self.b == 0:
             return float(self.a)
-        return float(self._decimal(30))
+        # 30 correctly rounded digits pin the nearest double unless the value
+        # lies within about 1e-29 of the midpoint between two doubles.
+        return float(self.decimal_str(30))
 
     def __str__(self) -> str:
         if self.b == 0:

@@ -15,8 +15,10 @@ off closed_form at five anchor points when a batch is evaluated
 simulator's cross-sections, the sweep's bracket rows) turn them into one
 matrix product; entries within roundoff of zero are re-decided exactly, so a
 closed channel stays exactly closed and no cross-section comes out negative.
-The sweep's exact channel fractions come from the same integers, as one
-integer batch over the points (cross_sections.channel_fraction_rows).
+The sweep reads the coefficients once, and its exact channel fractions come
+from the same integers, as integer shares (P + Q*sqrt(2)) / N computed and
+rendered once per distinct u-vector (cross_sections.channel_share_numerators,
+exactnum.render_decimal).
 
 Counting model: a cell of optical-depth coefficient d (per unit strength)
 transmits a fraction T = exp(-d * sigma_total); captures are Poisson with
@@ -31,6 +33,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -39,14 +42,17 @@ from .cross_sections import (
     CaptureMode,
     CaptureModel,
     Channel,
-    channel_fraction_rows,
+    Share,
+    _u_numerators,
+    channel_share_numerators,
     channels_for,
     closed_form,
     grid_values,
+    share_value,
     u_coefficients,
 )
 from .errors import DegenerateDesignError, DomainError
-from .exactnum import QuadRational, parse_rational
+from .exactnum import QuadRational, parse_rational, render_decimal
 from .polarization import PolarizationTriple
 
 SETTINGS_HEADER = ("p", "P_L", "P_N", "exposure", "depth")
@@ -70,6 +76,11 @@ class MeasurementSetting:
             raise DomainError(f"exposure must be positive and finite, got {self.exposure}")
         if not (self.depth > 0 and math.isfinite(self.depth)):
             raise DomainError(f"depth must be positive and finite, got {self.depth}")
+        # The fit scales each setting's design row by this product.
+        if not math.isfinite(self.exposure * self.depth):
+            raise DomainError(
+                f"exposure * depth must be finite, got {self.exposure:g} * {self.depth:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -127,8 +138,13 @@ class FitResult:
 _ZERO_TOLERANCE = 1e-12
 
 
-def _unit_brackets(pols: Sequence[PolarizationTriple], mode: CaptureMode) -> np.ndarray:
-    """Float cross-sections at K = 1, one row per point, one column per channel."""
+def _unit_brackets(
+    pols: Sequence[PolarizationTriple], mode: CaptureMode, coefficients: Sequence[tuple]
+) -> np.ndarray:
+    """Float cross-sections at K = 1, one row per point, one column per channel.
+
+    coefficients are the rows of u_coefficients(mode).
+    """
     p, pl, pn = np.array(
         [(float(pol.p), float(pol.pl), float(pol.pn)) for pol in pols], dtype=float
     ).reshape(-1, 3).T
@@ -137,7 +153,7 @@ def _unit_brackets(pols: Sequence[PolarizationTriple], mode: CaptureMode) -> np.
     # table: on a dyadic grid both sums are exact, and a rational entry is
     # correctly rounded by the one division.
     denominators, rational, root = (
-        np.array(part, dtype=float) for part in zip(*u_coefficients(mode))
+        np.array(part, dtype=float) for part in zip(*coefficients)
     )
     values = (basis @ rational.T + math.sqrt(2) * (basis @ root.T)) / denominators
     channels = channels_for(mode)
@@ -155,7 +171,7 @@ def design_matrix(settings: Sequence[MeasurementSetting], mode: CaptureMode) -> 
     """
     if not settings:
         raise DomainError("at least one measurement setting is required")
-    return _unit_brackets([setting.pol for setting in settings], mode)
+    return _unit_brackets([setting.pol for setting in settings], mode, u_coefficients(mode))
 
 
 def _describe_null_combination(
@@ -290,7 +306,8 @@ def simulate_counts(
             )
     channels = channels_for(model.mode)
     strengths = np.array([float(strength) for strength in model.strengths])
-    sigma_rows = _unit_brackets([setting.pol for setting in settings], model.mode) * strengths
+    pols = [setting.pol for setting in settings]
+    sigma_rows = _unit_brackets(pols, model.mode, u_coefficients(model.mode)) * strengths
     records = []
     for index, (setting, sigma_row) in enumerate(zip(settings, sigma_rows)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
@@ -312,9 +329,23 @@ def simulate_counts(
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One grid point of a sweep.
+
+    shares holds each channel's share of the total as integers (P, Q, N),
+    meaning (P + Q*sqrt(2)) / N with N > 0, and decimals the same shares
+    rendered to 15 significant digits.  Points with equal u-numerators, such
+    as a point and its flip, hold the same two tuples.
+    """
+
     pol: PolarizationTriple
-    fractions: tuple[QuadRational, ...]
+    shares: tuple[Share, ...]
+    decimals: tuple[str, ...]
     condition_number: float
+
+    @property
+    def fractions(self) -> tuple[QuadRational, ...]:
+        """The shares as exact QuadRationals, built when read."""
+        return tuple(share_value(share) for share in self.shares)
 
 
 def _reference_settings(mode: CaptureMode) -> list[PolarizationTriple]:
@@ -332,20 +363,26 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[Sw
     channel fractions of the total cross-section and the condition number of
     the design matrix formed by the point together with the fixed reference
     settings (unpolarized, plus the aligned corner in OAM mode).  Output is
-    sorted by condition number, then lexicographically by (p, P_L, P_N).
+    sorted stably by condition number; the points are generated in
+    lexicographic (p, P_L, P_N) order, so ties keep that order.
 
-    The condition numbers come from the float path and one batched SVD.  The
-    fractions come from channel_fraction_rows: per point, integer sums over
-    the u-coefficients and one exact Q(sqrt(2)) division, so each share is
-    still decided by field arithmetic.  A point where the total vanishes
-    raises DomainError naming it.
+    The u-coefficients of the closed form in force are read once.  The
+    condition numbers come from the float path and one batched SVD, a row
+    per point.  The fractions depend on a point only through its
+    u-numerators, which a point shares with its flip (-p, -P_L, -P_N), so
+    the points are grouped by them.  Each group's shares come from
+    channel_share_numerators as integers, evaluated and rendered to 15
+    significant digits once, for the group's first point in grid order; each
+    share is still decided by field arithmetic.  A point where the total
+    vanishes raises DomainError naming the first such point.
     """
     values = grid_values(grid_resolution)
     references = _reference_settings(model.mode)
     points = [
         PolarizationTriple(p, pl, pn) for p in values for pl in values for pn in values
     ]
-    rows = _unit_brackets(references + points, model.mode)
+    coefficients = u_coefficients(model.mode)
+    rows = _unit_brackets(references + points, model.mode, coefficients)
     # One square design per point: the reference rows, then the point's row.
     designs = np.empty((len(points), len(references) + 1, rows.shape[1]))
     designs[:, :-1] = rows[: len(references)]
@@ -355,13 +392,19 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[Sw
     conditions = np.full(len(points), math.inf)
     np.divide(largest, smallest, out=conditions, where=smallest > 0)
 
+    keys = [_u_numerators(pol) for pol in points]
+    first: dict[tuple[int, int, int, int], PolarizationTriple] = {}
+    for key, pol in zip(keys, points):
+        first.setdefault(key, pol)
+    shares = dict(zip(first, channel_share_numerators(first.items(), model, coefficients)))
+    decimals = {
+        key: tuple(render_decimal(*share) for share in row) for key, row in shares.items()
+    }
     sweep = [
-        SweepPoint(pol, shares, condition)
-        for pol, shares, condition in zip(
-            points, channel_fraction_rows(points, model), conditions.tolist()
-        )
+        SweepPoint(pol, shares[key], decimals[key], condition)
+        for pol, key, condition in zip(points, keys, conditions.tolist())
     ]
-    sweep.sort(key=lambda point: (point.condition_number, point.pol.p, point.pol.pl, point.pol.pn))
+    sweep.sort(key=attrgetter("condition_number"))
     return sweep
 
 
@@ -396,7 +439,7 @@ class _DataLines:
 
     def fieldnames(self, reader: csv.DictReader) -> list[str] | None:
         """The header row; a line that cannot be read raises DomainError naming it."""
-        return self._located(lambda: reader.fieldnames)
+        return self.located(lambda: reader.fieldnames)
 
     def rows(self, reader: csv.DictReader, parse: Callable[[dict], object]) -> list:
         """Parse every row; any malformed one raises DomainError naming its line."""
@@ -409,9 +452,10 @@ class _DataLines:
                 parsed.append(parse(row))
             return parsed
 
-        return self._located(parse_all)
+        return self.located(parse_all)
 
-    def _located(self, read: Callable[[], object]):
+    def located(self, read: Callable[[], object]):
+        """read(); a DomainError or csv.Error it raises is reraised naming the current line."""
         try:
             return read()
         except (DomainError, csv.Error) as exc:
@@ -469,6 +513,25 @@ def _channel_count_columns(mode: CaptureMode) -> list[str]:
     return [f"capture_j{channel.j_final}" for channel in channels_for(mode)]
 
 
+def _channel_columns(fields: Sequence[str]) -> list[str]:
+    """The capture_j* column names in channels_for order, checked by name.
+
+    The channels of each mode have j = 0, 1, ... in channels_for order, so m
+    channel columns must be capture_j0 to capture_j<m-1>, in any order; the
+    fit then checks m against the mode.
+    """
+    columns = [name for name in fields if name.startswith("capture_j")]
+    expected = [f"capture_j{j}" for j in range(len(columns))]
+    for name in columns:
+        if columns.count(name) > 1:
+            raise DomainError(f"channel column {name} appears more than once")
+        if name not in expected:
+            raise DomainError(
+                f"unknown channel column {name}; expected {', '.join(expected)} in any order"
+            )
+    return expected
+
+
 def write_counts_csv(
     records: Sequence[CountRecord],
     sink: TextIO,
@@ -499,7 +562,11 @@ def write_counts_csv(
 def read_counts_csv(
     source: TextIO, settings: Sequence[MeasurementSetting]
 ) -> list[CountRecord]:
-    """Read a counts table; setting_id indexes into the settings list."""
+    """Read a counts table; setting_id indexes into the settings list.
+
+    Channel columns capture_j<j> are matched to channels by name, so their
+    order in the file does not matter.
+    """
     lines = _DataLines(source, "counts")
     reader = csv.DictReader(lines)
     fields = tuple(lines.fieldnames(reader) or ())
@@ -507,7 +574,7 @@ def read_counts_csv(
         raise DomainError(
             f"counts file must start with header {','.join(COUNTS_HEADER)}, got {fields}"
         )
-    channel_columns = [name for name in fields if name.startswith("capture_j")]
+    channel_columns = lines.located(lambda: _channel_columns(fields))
 
     def parse(row: dict) -> CountRecord:
         setting_id = _cell(row, "setting_id", int)

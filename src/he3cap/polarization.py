@@ -17,8 +17,10 @@ from .exactnum import RationalLike, as_fraction
 
 
 def _checked_polarization(value: RationalLike, name: str) -> Fraction:
-    fraction = as_fraction(value)
-    if abs(fraction) > 1:
+    # A Fraction, as every parsed value and grid point is, is kept as it is
+    # and checked on its numerator and denominator.
+    fraction = value if type(value) is Fraction else as_fraction(value)
+    if abs(fraction.numerator) > fraction.denominator:
         raise DomainError(f"{name} must lie in [-1, 1], got {fraction}")
     return fraction
 

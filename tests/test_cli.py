@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,11 @@ import he3cap.cli as cli
 from he3cap.cross_sections import (
     OAM_CHANNELS,
     CaptureMode,
+    CaptureModel,
     ReconciliationReport,
     Discrepancy,
+    channel_cross_sections,
+    sections_total,
 )
 from he3cap.exactnum import QuadRational
 from he3cap.polarization import PolarizationTriple
@@ -32,6 +36,19 @@ SETTINGS_CSV = """p,P_L,P_N,exposure,depth
 
 def _as_bytes(data: str | bytes) -> bytes:
     return data if isinstance(data, bytes) else data.encode()
+
+
+def _reference_decimal(value: QuadRational) -> str:
+    """a + b*sqrt(2) through Decimal at 60 digits, rounded half-even to 15."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(value.a.numerator) / value.a.denominator + Decimal(
+            value.b.numerator
+        ) / value.b.denominator * Decimal(2).sqrt()
+        if not exact:
+            return "0"
+        ctx.prec = 15
+        return format(exact.normalize(), "f")
 
 
 def run(capsys, *argv):
@@ -215,6 +232,32 @@ class TestSweep:
         )
 
 
+    @pytest.mark.parametrize("mode", list(CaptureMode), ids=lambda mode: mode.value)
+    def test_every_share_is_the_exact_share_correctly_rounded(self, capsys, mode):
+        code, out, _ = run(capsys, "sweep", "--grid", "9", "--mode", mode.value, "--json")
+        assert code == 0
+        points = json.loads(out)["points"]
+        assert len(points) == 9**3
+        model = CaptureModel.uniform(mode)
+        for point in points:
+            pol = PolarizationTriple.of(point["p"], point["P_L"], point["P_N"])
+            sections = channel_cross_sections(pol, model)
+            total = sections_total(sections)
+            assert point["fractions"] == {
+                section.channel.label: _reference_decimal(section.value / total)
+                for section in sections
+            }
+
+    def test_all_strengths_zero_names_the_first_point(self, capsys):
+        # Every total vanishes, so the first point in grid order is named.
+        code, out, err = run(capsys, "sweep", "--grid", "3", "--mode", "oam", "--k", "0")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: total cross-section is zero at (p=-1, P_L=-1, P_N=-1); "
+            "channel fractions are undefined\n"
+        )
+
+
 class TestSimulateAndFit:
     @pytest.fixture
     def settings_file(self, tmp_path):
@@ -339,6 +382,104 @@ class TestSimulateAndFit:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert where in err
+
+    @pytest.mark.parametrize("mode", ["oam", "ordinary"])
+    def test_channel_columns_are_matched_by_name(self, capsys, settings_file, tmp_path, mode):
+        counts_path = tmp_path / "counts.csv"
+        run(
+            capsys,
+            "simulate",
+            "--settings", str(settings_file),
+            "--mode", mode,
+            "--k", "1,2,1/2" if mode == "oam" else "1,3",
+            "--seed", "7",
+            "--channel-resolved",
+            "--out", str(counts_path),
+        )
+        # The same file with the capture_j* columns in reversed order.
+        comment, *table = counts_path.read_text().splitlines()
+        rows = [line.split(",") for line in table]
+        reversed_path = tmp_path / "reversed.csv"
+        reversed_path.write_text(
+            "\n".join([comment] + [",".join(row[:3] + row[:2:-1]) for row in rows]) + "\n"
+        )
+        assert reversed_path.read_text().splitlines()[1].endswith("capture_j0")
+
+        fits = []
+        for path in (counts_path, reversed_path):
+            code, out, err = run(
+                capsys,
+                "fit",
+                "--settings", str(settings_file),
+                "--counts", str(path),
+                "--mode", mode,
+                "--channel-resolved",
+            )
+            assert (code, err) == (0, "")
+            payload = json.loads(out)
+            del payload["metadata"]
+            fits.append(payload)
+        assert fits[0] == fits[1]
+
+    @pytest.mark.parametrize(
+        ("names", "message"),
+        [
+            (
+                "capture_j0,capture_j1,capture_j1",
+                "channel column capture_j1 appears more than once",
+            ),
+            (
+                "capture_j0,capture_jx,capture_j2",
+                "unknown channel column capture_jx; "
+                "expected capture_j0, capture_j1, capture_j2 in any order",
+            ),
+            (
+                "capture_j0,capture_j2,capture_j3",
+                "unknown channel column capture_j3; "
+                "expected capture_j0, capture_j1, capture_j2 in any order",
+            ),
+        ],
+        ids=["duplicated", "unknown", "gap"],
+    )
+    def test_bad_channel_column_name_is_located(
+        self, capsys, settings_file, tmp_path, names, message
+    ):
+        counts_path = tmp_path / "counts.csv"
+        rows = "".join(f"{i},3,100,1,1,1\n" for i in range(4))
+        counts_path.write_text(f"# comment\nsetting_id,capture,transmitted,{names}\n{rows}")
+        code, out, err = run(
+            capsys,
+            "fit",
+            "--settings", str(settings_file),
+            "--counts", str(counts_path),
+            "--mode", "oam",
+            "--channel-resolved",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {counts_path}, line 2: {message}\n"
+
+    def test_infinite_exposure_times_depth_is_domain_error(self, capsys, tmp_path):
+        settings_path = tmp_path / "settings.csv"
+        settings_path.write_text(
+            "p,P_L,P_N,exposure,depth\n"
+            + "".join(f"{p},1,1,1e300,1e300\n" for p in ("0", "1", "-1", "1/2"))
+        )
+        counts_path = tmp_path / "counts.csv"
+        counts_path.write_text(
+            "setting_id,capture,transmitted\n" + "".join(f"{i},10,10\n" for i in range(4))
+        )
+        code, out, err = run(
+            capsys,
+            "fit",
+            "--settings", str(settings_path),
+            "--counts", str(counts_path),
+            "--mode", "oam",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {settings_path}, line 2: "
+            "exposure * depth must be finite, got 1e+300 * 1e+300\n"
+        )
 
     @pytest.mark.parametrize(
         ("columns", "mode", "channels"),

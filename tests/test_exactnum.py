@@ -1,13 +1,18 @@
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from he3cap import exactnum
 from he3cap.errors import UnsupportedRadicandError
-from he3cap.exactnum import QuadRational, SqrtRational, exact_sqrt, sqrt_product
+from he3cap.exactnum import (
+    QuadRational,
+    SqrtRational,
+    exact_sqrt,
+    render_decimal,
+    sqrt_product,
+)
 
 THIRD = Fraction(1, 3)
 TWO_THIRDS = Fraction(2, 3)
@@ -18,16 +23,22 @@ small_fractions = st.fractions(
 quads = st.builds(QuadRational, small_fractions, small_fractions)
 
 
-def _fresh_decimal_str(value: QuadRational, digits: int) -> str:
-    """decimal_str recomputed independently: sqrt(2) at 25 guard digits, then rounded."""
+def _reference_decimal(p: int, q: int, n: int, digits: int = 15, precision: int = 60) -> str:
+    """(p + q*sqrt(2))/n through Decimal at the given precision, then rounded half-even."""
     with localcontext() as ctx:
-        ctx.prec = digits + 25
-        a = Decimal(value.a.numerator) / Decimal(value.a.denominator)
-        b = Decimal(value.b.numerator) / Decimal(value.b.denominator)
-        exact = a + b * Decimal(2).sqrt()
-    with localcontext() as ctx:
+        ctx.prec = precision
+        value = (Decimal(p) + Decimal(q) * Decimal(2).sqrt()) / Decimal(n)
+        if not value:
+            return "0"  # not '-0'
         ctx.prec = digits
-        return format((+exact).normalize(), "f")
+        ctx.rounding = ROUND_HALF_EVEN
+        # normalize() rounds to the context precision and drops trailing zeros.
+        return format(value.normalize(), "f")
+
+
+def _parts(value: QuadRational) -> tuple[int, int, int]:
+    n = value.a.denominator * value.b.denominator
+    return value.a.numerator * value.b.denominator, value.b.numerator * value.a.denominator, n
 
 
 class TestSqrtRational:
@@ -160,27 +171,91 @@ class TestQuadRational:
         assert QuadRational(Fraction(0), Fraction(1)).decimal_str() == "1.4142135623731"
         assert QuadRational(Fraction(9), Fraction(-4)).decimal_str() == "3.34314575050762"
 
-    @pytest.mark.parametrize("order", [(5, 15, 30), (30, 15, 5)])
-    def test_decimal_str_at_each_precision_matches_a_fresh_computation(self, order):
+    @pytest.mark.parametrize("digits", [5, 15, 30])
+    def test_decimal_str_at_each_precision_matches_a_reference(self, digits):
         values = [
             QuadRational(Fraction(9), Fraction(-4)),
             QuadRational(Fraction(1, 3), Fraction(5, 7)),
             QuadRational(Fraction(0), Fraction(-1, 12)),
-            # a + b*sqrt(2) cancels to about 1e-60, so the digits shown depend
-            # on every digit of the sqrt(2) the rendering used.
+            # a + b*sqrt(2) cancels to about 1e-60, so only a rendering that
+            # keeps every digit of the sum gets its leading digits right.
             QuadRational(
                 -Fraction(1010152544552210749144063374435498627549765625269248623697628, 10**60),
                 Fraction(5, 7),
             ),
         ]
-        exactnum._sqrt2.cache_clear()
-        try:
-            for digits in order:
-                for value in values:
-                    assert value.decimal_str(digits) == _fresh_decimal_str(value, digits)
-        finally:
-            exactnum._sqrt2.cache_clear()
+        for value in values:
+            assert value.decimal_str(digits) == _reference_decimal(
+                *_parts(value), digits, precision=150
+            )
 
     def test_float_is_close(self):
         value = QuadRational(Fraction(6), Fraction(-4))
         assert float(value) == pytest.approx(6 - 4 * 2 ** 0.5, abs=1e-15)
+
+
+# Integers small enough that p + q*sqrt(2) cancels by at most about 24
+# digits, so 60 reference digits leave more than 30 beyond the 15 shown; the
+# shift moves the value across magnitudes from below 1e-30 to above 1e30.
+_parts_strategy = st.integers(min_value=-(10**12), max_value=10**12)
+
+
+class TestRenderDecimal:
+    @given(
+        _parts_strategy,
+        _parts_strategy,
+        st.integers(min_value=1, max_value=10**12),
+        st.integers(min_value=-30, max_value=30),
+        st.booleans(),
+    )
+    @example(0, 0, 7, 0, False)  # zero
+    @example(5, 0, 2, 0, False)  # 2.5 needs no rounding
+    @example(12345, 0, 1, -20, False)  # below 1e-5
+    @example(-1414213562373, 1000000000000, 1, 0, False)  # deep cancellation
+    def test_matches_a_60_digit_reference(self, p, q, n, shift, negative_n):
+        if shift >= 0:
+            p, q = p * 10**shift, q * 10**shift
+        else:
+            n *= 10**-shift
+        if negative_n:
+            p, q, n = -p, -q, -n
+        assert render_decimal(p, q, n) == _reference_decimal(p, q, n)
+
+    @given(
+        st.integers(min_value=10**14, max_value=10**15 - 1),
+        st.integers(min_value=-20, max_value=20),
+        st.sampled_from([1, -1]),
+    )
+    @example(123456789012344, 0, 1)  # ...44.5 stays at the even 4
+    @example(123456789012345, 0, -1)  # -...45.5 goes to the even -...46
+    @example(999999999999999, 0, 1)  # 999999999999999.5 carries into a new digit
+    def test_exact_ties_round_half_even(self, digits, shift, sign):
+        # Sixteen significant digits ending in 5 are an exact tie at fifteen.
+        scale_up, scale_down = (10**shift, 1) if shift >= 0 else (1, 10**-shift)
+        tie, above = (sign * (10 * digits + last) * scale_up for last in (5, 6))
+        n = 10 * scale_down
+        assert render_decimal(tie, 0, n) == _reference_decimal(tie, 0, n)
+        # Any sqrt(2) part, however small, breaks the tie away from zero.
+        assert render_decimal(tie * 10**40, sign, n * 10**40) == _reference_decimal(above, 0, n)
+
+    def test_positional_form(self):
+        assert render_decimal(3, 0, 4) == "0.75"
+        assert render_decimal(24, 0, 1) == "24"
+        assert render_decimal(15 * 10**20, 0, 1) == "1500000000000000000000"
+        assert render_decimal(1, 0, 10**20) == "0.00000000000000000001"
+        assert render_decimal(-1, 0, 3) == "-0.333333333333333"
+        assert render_decimal(0, 0, -5) == "0"
+
+    @given(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6), st.booleans())
+    @example(Fraction(1, 4), False)
+    @example(Fraction(2), True)
+    def test_signed_root_matches_a_reference(self, radicand, negative):
+        root = SqrtRational.sqrt(radicand)
+        if negative:
+            root = -root
+        with localcontext() as ctx:
+            ctx.prec = 60
+            value = Decimal(radicand.numerator).sqrt() / Decimal(radicand.denominator).sqrt()
+            ctx.prec = 15
+            expected = format((-value if negative else value).normalize(), "f")
+        assert root.decimal_str() == expected

@@ -342,6 +342,23 @@ class TestSweep:
             total = sum(sections, QuadRational.zero())
             assert point.fractions == tuple(value / total for value in sections)
 
+    @pytest.mark.parametrize(
+        "model",
+        [CaptureModel.oam("7/3", 2, "1/2"), CaptureModel.ordinary(1, 3)],
+        ids=["oam", "ordinary"],
+    )
+    def test_a_point_and_its_flip_agree(self, model):
+        by_pol = {point.pol: point for point in discriminability_sweep(5, model)}
+        for pol, point in by_pol.items():
+            flip = by_pol[pol.flipped()]
+            assert flip.fractions == point.fractions
+            assert flip.decimals == point.decimals
+            assert flip.condition_number == point.condition_number
+
+    def test_decimals_render_the_fractions(self):
+        for point in discriminability_sweep(5, CaptureModel.oam("7/3", 2, "1/2")):
+            assert point.decimals == tuple(share.decimal_str() for share in point.fractions)
+
     def test_deterministic(self):
         model = CaptureModel.uniform(CaptureMode.OAM)
         assert discriminability_sweep(3, model) == discriminability_sweep(3, model)
