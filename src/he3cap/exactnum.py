@@ -342,15 +342,8 @@ class QuadRational:
 
     def sign(self) -> int:
         """Exact sign of the real value a + b*sqrt(2)."""
-        sign_a = (self.a > 0) - (self.a < 0)
-        sign_b = (self.b > 0) - (self.b < 0)
-        if sign_b == 0:
-            return sign_a
-        if sign_a == 0 or sign_a == sign_b:
-            return sign_b
-        # Opposite-sign parts: compare a^2 against 2 b^2.  Equality would mean
-        # sqrt(2) is rational, so it cannot occur here.
-        return sign_a if self.a * self.a > 2 * self.b * self.b else sign_b
+        a, b = self.a, self.b
+        return _sign(a.numerator * b.denominator, b.numerator * a.denominator, 2)
 
     def __lt__(self, other: QuadRational | RationalLike) -> bool:
         o = self._coerce(other)

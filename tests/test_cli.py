@@ -42,9 +42,9 @@ def _reference_decimal(value: QuadRational) -> str:
     """a + b*sqrt(2) through Decimal at 60 digits, rounded half-even to 15."""
     with localcontext() as ctx:
         ctx.prec = 60
-        exact = Decimal(value.a.numerator) / value.a.denominator + Decimal(
-            value.b.numerator
-        ) / value.b.denominator * Decimal(2).sqrt()
+        a = Decimal(value.a.numerator) / value.a.denominator
+        b = Decimal(value.b.numerator) / value.b.denominator
+        exact = a + b * Decimal(2).sqrt()
         if not exact:
             return "0"
         ctx.prec = 15
@@ -230,7 +230,6 @@ class TestSweep:
             "error: total cross-section is zero at (p=-1, P_L=-1, P_N=-1); "
             "channel fractions are undefined\n"
         )
-
 
     @pytest.mark.parametrize("mode", list(CaptureMode), ids=lambda mode: mode.value)
     def test_every_share_is_the_exact_share_correctly_rounded(self, capsys, mode):
