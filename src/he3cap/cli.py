@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import shlex
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Sequence, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from . import __version__
 from .angular import cg
@@ -46,6 +48,9 @@ from .levels import (
     check_kinematics,
 )
 from .polarization import PolarizationTriple
+
+if TYPE_CHECKING:
+    from .experiment import SweepPoint
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -306,6 +311,49 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     return EXIT_OK if agreement else EXIT_DISAGREEMENT
 
 
+def _json_float(value: float) -> str:
+    """A float as json.dumps writes it."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _write_sweep_json(
+    args: argparse.Namespace, sink: TextIO, labels: Sequence[str], points: Sequence[SweepPoint]
+) -> None:
+    """The sweep as json.dump(..., indent=2) writes it, point by point from a template.
+
+    A point and its flip hold the same decimals, so each fractions block is
+    formatted once.
+    """
+    header = json.dumps(
+        {"metadata": _metadata(args), "mode": args.mode.value, "grid": args.grid}, indent=2
+    )
+    keys = [f'        {encode_basestring_ascii(label)}: ' for label in labels]
+    blocks: dict[tuple[str, ...], str] = {}
+    texts = []
+    for point in points:
+        decimals = point.decimals
+        block = blocks.get(decimals)
+        if block is None:
+            block = blocks[decimals] = ",\n".join(
+                key + encode_basestring_ascii(text) for key, text in zip(keys, decimals)
+            )
+        pol = point.pol
+        texts.append(
+            "    {\n"
+            f'      "p": {encode_basestring_ascii(str(pol.p))},\n'
+            f'      "P_L": {encode_basestring_ascii(str(pol.pl))},\n'
+            f'      "P_N": {encode_basestring_ascii(str(pol.pn))},\n'
+            f'      "fractions": {{\n{block}\n      }},\n'
+            f'      "condition_number": {_json_float(point.condition_number)}\n'
+            "    }"
+        )
+    sink.write(header[:-2] + ',\n  "points": [\n' + ",\n".join(texts) + "\n  ]\n}\n")
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # experiment loads numpy, so only sweep, fit and simulate import it.
     from .experiment import discriminability_sweep
@@ -313,34 +361,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     model = _model_from_args(args)
     points = discriminability_sweep(args.grid, model)
     channels = channels_for(args.mode)
-    headers = ["p", "P_L", "P_N"] + [f"frac_j{ch.j_final}" for ch in channels] + ["condition"]
-    # Only the form that _emit writes is built.
-    rows, payload = [], {}
-    if args.json:
-        labels = [ch.label for ch in channels]
-        payload = {
-            "mode": args.mode.value,
-            "grid": args.grid,
-            "points": [
-                {
-                    "p": str(point.pol.p),
-                    "P_L": str(point.pol.pl),
-                    "P_N": str(point.pol.pn),
-                    "fractions": dict(zip(labels, point.decimals)),
-                    "condition_number": point.condition_number,
-                }
-                for point in points
-            ],
-        }
-    else:
-        rows = [
-            [str(point.pol.p), str(point.pol.pl), str(point.pol.pn)]
-            + list(point.decimals)
-            + [f"{point.condition_number:.6g}"]
-            for point in points
-        ]
     with _sink(args) as sink:
-        _emit(args, sink, headers, rows, payload)
+        if args.json:
+            _write_sweep_json(args, sink, [ch.label for ch in channels], points)
+        else:
+            headers = ["p", "P_L", "P_N"] + [f"frac_j{ch.j_final}" for ch in channels]
+            rows = [
+                [str(point.pol.p), str(point.pol.pl), str(point.pol.pn)]
+                + list(point.decimals)
+                + [f"{point.condition_number:.6g}"]
+                for point in points
+            ]
+            _emit(args, sink, headers + ["condition"], rows, {})
     return EXIT_OK
 
 
@@ -528,11 +560,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built on the first call of main and shared by later calls in the process.
+_PARSER: _Parser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    global _PARSER
     command_line = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(command_line)
+        args = _PARSER.parse_args(command_line)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -420,19 +420,20 @@ def channel_share_numerators(
 ) -> list[tuple[Share, ...]]:
     """Exact share of each channel in the total cross-section, as integers.
 
-    points pairs each point's u-numerators U = _u_numerators(pol) with the
-    point, which only names a point where the total vanishes; coefficients
-    are the rows of u_coefficients(model.mode).  Channel c is
+    points pairs each point's u-numerators U with the point, which only
+    names a point where the total vanishes; coefficients are the rows of
+    u_coefficients(model.mode).  U is d^2 * (1, u1, u2, u3) for any common
+    denominator d of the point's coordinates, such as _u_numerators(pol)
+    gives; the shares do not depend on which.  Channel c is
     (n_c/m_c) * (R_c + S_c*sqrt(2)) . U / (D_c * d^2), with (D_c, R_c, S_c)
-    its row, K_c = n_c/m_c and d the lcm of the point's three denominators.
-    One integer weight per channel brings every channel to a common scale,
-    which cancels in the shares, so sigma_c is proportional to
-    a_c + b_c*sqrt(2) with integers a_c, b_c.  With A and B their sums, each
-    share is ((a_c*A - 2*b_c*B) + (b_c*A - a_c*B)*sqrt(2)) / (A^2 - 2*B^2),
-    returned as that (P, Q, N) with the signs turned so that N > 0, and not
-    reduced.  A^2 - 2*B^2 vanishes exactly when the total does, since
-    sqrt(2) is irrational; that raises DomainError naming the first such
-    point.
+    its row and K_c = n_c/m_c.  One integer weight per channel brings every
+    channel to a common scale, which cancels in the shares, so sigma_c is
+    proportional to a_c + b_c*sqrt(2) with integers a_c, b_c.  With A and B
+    their sums, each share is
+    ((a_c*A - 2*b_c*B) + (b_c*A - a_c*B)*sqrt(2)) / (A^2 - 2*B^2), returned
+    as that (P, Q, N) with the signs turned so that N > 0, and not reduced.
+    A^2 - 2*B^2 vanishes exactly when the total does, since sqrt(2) is
+    irrational; that raises DomainError naming the first such point.
     """
     denominators, rational, root = zip(*coefficients)
     scale = math.lcm(

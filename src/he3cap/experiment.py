@@ -33,6 +33,8 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from operator import attrgetter
 from typing import Callable, Iterator, Sequence, TextIO
 
@@ -43,7 +45,6 @@ from .cross_sections import (
     CaptureModel,
     Channel,
     Share,
-    _u_numerators,
     channel_share_numerators,
     channels_for,
     closed_form,
@@ -138,16 +139,26 @@ class FitResult:
 _ZERO_TOLERANCE = 1e-12
 
 
+def _coordinates(pols: Sequence[PolarizationTriple]) -> np.ndarray:
+    """The points as an (N, 3) float array of (p, P_L, P_N)."""
+    return np.array(
+        [(float(pol.p), float(pol.pl), float(pol.pn)) for pol in pols], dtype=float
+    ).reshape(-1, 3)
+
+
 def _unit_brackets(
-    pols: Sequence[PolarizationTriple], mode: CaptureMode, coefficients: Sequence[tuple]
+    coordinates: np.ndarray,
+    pols: Sequence[PolarizationTriple],
+    mode: CaptureMode,
+    coefficients: Sequence[tuple],
 ) -> np.ndarray:
     """Float cross-sections at K = 1, one row per point, one column per channel.
 
-    coefficients are the rows of u_coefficients(mode).
+    coordinates holds the points as floats, one (p, P_L, P_N) row each, and
+    pols the same points exactly, for the re-decide near zero; coefficients
+    are the rows of u_coefficients(mode).
     """
-    p, pl, pn = np.array(
-        [(float(pol.p), float(pol.pl), float(pol.pn)) for pol in pols], dtype=float
-    ).reshape(-1, 3).T
+    p, pl, pn = coordinates.T
     basis = np.column_stack([np.ones_like(p), 1 - p * pl, 1 - p * pn, 1 - pl * pn])
     # Integer numerators, with the two parts summed apart as in the exact
     # table: on a dyadic grid both sums are exact, and a rational entry is
@@ -171,7 +182,8 @@ def design_matrix(settings: Sequence[MeasurementSetting], mode: CaptureMode) -> 
     """
     if not settings:
         raise DomainError("at least one measurement setting is required")
-    return _unit_brackets([setting.pol for setting in settings], mode, u_coefficients(mode))
+    pols = [setting.pol for setting in settings]
+    return _unit_brackets(_coordinates(pols), pols, mode, u_coefficients(mode))
 
 
 def _describe_null_combination(
@@ -289,6 +301,15 @@ def fit_strengths(
 MAX_SIMULATED_EXPOSURE = 1e18
 
 
+def _float_strength(strength: Fraction, channel: Channel) -> float:
+    try:
+        return float(strength)
+    except OverflowError:
+        raise DomainError(
+            f"strength K[{channel.label}] is above {sys.float_info.max:g}, the largest float"
+        ) from None
+
+
 def simulate_counts(
     settings: Sequence[MeasurementSetting], model: CaptureModel, seed: int
 ) -> list[CountRecord]:
@@ -305,14 +326,19 @@ def simulate_counts(
                 f"{MAX_SIMULATED_EXPOSURE:g}, the largest that can be simulated"
             )
     channels = channels_for(model.mode)
-    strengths = np.array([float(strength) for strength in model.strengths])
+    strengths = np.array(
+        [_float_strength(strength, channel) for strength, channel in zip(model.strengths, channels)]
+    )
     pols = [setting.pol for setting in settings]
-    sigma_rows = _unit_brackets(pols, model.mode, u_coefficients(model.mode)) * strengths
+    coefficients = u_coefficients(model.mode)
+    sigma_rows = _unit_brackets(_coordinates(pols), pols, model.mode, coefficients) * strengths
     records = []
     for index, (setting, sigma_row) in enumerate(zip(settings, sigma_rows)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
         sigmas = sigma_row.tolist()
         sigma_total = sum(sigmas)
+        if sigma_total == math.inf:
+            raise DomainError(f"setting {index}: the total cross-section is too large for a float")
         transmission = math.exp(-setting.depth * sigma_total)
         captures = int(rng.poisson(setting.exposure * (1.0 - transmission)))
         if captures > 0 and sigma_total > 0:
@@ -356,6 +382,29 @@ def _reference_settings(mode: CaptureMode) -> list[PolarizationTriple]:
     return [PolarizationTriple.of(0, 0, 0)]
 
 
+def _grid_points(
+    grid_resolution: int,
+) -> tuple[list[PolarizationTriple], np.ndarray, list[tuple[int, int, int, int]]]:
+    """The uniform grid over [-1, 1]^3 in lexicographic (p, P_L, P_N) order.
+
+    With d = grid_resolution - 1, every coordinate is i/d for one of the
+    integers i = -d, -d + 2, ..., d, so the grid is walked in integers.
+    Returns the exact points; their (N, 3) float coordinates, each the
+    correctly rounded i/d, as float() of the Fraction gives; and their
+    u-numerators over the common denominator d, (d^2, d^2 - xy, d^2 - xz,
+    d^2 - yz) for p = x/d, P_L = y/d, P_N = z/d.
+    """
+    values = grid_values(grid_resolution)  # rejects a resolution below 2
+    d = grid_resolution - 1
+    numerators = range(-d, d + 1, 2)
+    pols = [PolarizationTriple(*point) for point in product(values, repeat=3)]
+    axis = np.array([i / d for i in numerators])
+    coordinates = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    dd = d * d
+    keys = [(dd, dd - x * y, dd - x * z, dd - y * z) for x, y, z in product(numerators, repeat=3)]
+    return pols, coordinates, keys
+
+
 def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[SweepPoint]:
     """Rank grid points by how well they complete a strength-fitting design.
 
@@ -370,19 +419,22 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[Sw
     condition numbers come from the float path and one batched SVD, a row
     per point.  The fractions depend on a point only through its
     u-numerators, which a point shares with its flip (-p, -P_L, -P_N), so
-    the points are grouped by them.  Each group's shares come from
-    channel_share_numerators as integers, evaluated and rendered to 15
-    significant digits once, for the group's first point in grid order; each
-    share is still decided by field arithmetic.  A point where the total
-    vanishes raises DomainError naming the first such point.
+    the points are grouped by them, taken over the grid's common
+    denominator.  Each group's shares come from channel_share_numerators as
+    integers, evaluated and rendered to 15 significant digits once, for the
+    group's first point in grid order; each share is still decided by field
+    arithmetic.  A point where the total vanishes raises DomainError naming
+    the first such point.
     """
-    values = grid_values(grid_resolution)
+    points, coordinates, keys = _grid_points(grid_resolution)
     references = _reference_settings(model.mode)
-    points = [
-        PolarizationTriple(p, pl, pn) for p in values for pl in values for pn in values
-    ]
     coefficients = u_coefficients(model.mode)
-    rows = _unit_brackets(references + points, model.mode, coefficients)
+    rows = _unit_brackets(
+        np.concatenate([_coordinates(references), coordinates]),
+        references + points,
+        model.mode,
+        coefficients,
+    )
     # One square design per point: the reference rows, then the point's row.
     designs = np.empty((len(points), len(references) + 1, rows.shape[1]))
     designs[:, :-1] = rows[: len(references)]
@@ -392,7 +444,6 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[Sw
     conditions = np.full(len(points), math.inf)
     np.divide(largest, smallest, out=conditions, where=smallest > 0)
 
-    keys = [_u_numerators(pol) for pol in points]
     first: dict[tuple[int, int, int, int], PolarizationTriple] = {}
     for key, pol in zip(keys, points):
         first.setdefault(key, pol)

@@ -34,9 +34,16 @@ class PolarizationTriple:
     pn: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _checked_polarization(self.p, "p"))
-        object.__setattr__(self, "pl", _checked_polarization(self.pl, "P_L"))
-        object.__setattr__(self, "pn", _checked_polarization(self.pn, "P_N"))
+        # A field is written back only when its check converted it.
+        p = _checked_polarization(self.p, "p")
+        if p is not self.p:
+            object.__setattr__(self, "p", p)
+        pl = _checked_polarization(self.pl, "P_L")
+        if pl is not self.pl:
+            object.__setattr__(self, "pl", pl)
+        pn = _checked_polarization(self.pn, "P_N")
+        if pn is not self.pn:
+            object.__setattr__(self, "pn", pn)
 
     @classmethod
     def of(cls, p: RationalLike, pl: RationalLike = 0, pn: RationalLike = 0) -> PolarizationTriple:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -7,12 +8,14 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import he3cap
 import he3cap.cli as cli
 from he3cap.cross_sections import (
     OAM_CHANNELS,
@@ -21,9 +24,11 @@ from he3cap.cross_sections import (
     ReconciliationReport,
     Discrepancy,
     channel_cross_sections,
+    channels_for,
     sections_total,
 )
 from he3cap.exactnum import QuadRational
+from he3cap.experiment import discriminability_sweep
 from he3cap.polarization import PolarizationTriple
 
 SETTINGS_CSV = """p,P_L,P_N,exposure,depth
@@ -257,6 +262,61 @@ class TestSweep:
         )
 
 
+def _sweep_json_dump(argv: list[str], grid: int, model: CaptureModel) -> str:
+    """What json.dump(..., indent=2) writes for the sweep payload, and its newline."""
+    labels = [channel.label for channel in channels_for(model.mode)]
+    payload = {
+        "metadata": {"command": "he3cap " + shlex.join(argv), "version": he3cap.__version__},
+        "mode": model.mode.value,
+        "grid": grid,
+        "points": [
+            {
+                "p": str(point.pol.p),
+                "P_L": str(point.pol.pl),
+                "P_N": str(point.pol.pn),
+                "fractions": dict(zip(labels, point.decimals)),
+                "condition_number": point.condition_number,
+            }
+            for point in discriminability_sweep(grid, model)
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestSweepJson:
+    """sweep --json is written from a template, byte for byte as json.dump writes it."""
+
+    @pytest.mark.parametrize("grid", [2, 3, 9])
+    @pytest.mark.parametrize(
+        ("mode", "k"),
+        [("oam", None), ("oam", "7/3,2,1/2"), ("ordinary", None), ("ordinary", "1,3")],
+        ids=["oam", "oam-k", "ordinary", "ordinary-k"],
+    )
+    def test_bytes_are_those_of_json_dump(self, capsys, grid, mode, k):
+        argv = ["sweep", "--grid", str(grid), "--mode", mode, "--json"]
+        model = CaptureModel.uniform(CaptureMode(mode))
+        if k is not None:
+            argv += ["--k", k]
+            model = CaptureModel(CaptureMode(mode), tuple(Fraction(v) for v in k.split(",")))
+        assert run(capsys, *argv) == (0, _sweep_json_dump(argv, grid, model), "")
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            math.inf,
+            -math.inf,
+            math.nan,
+            0.0,
+            -0.0,
+            5e-324,
+            2.5233953323427453e17,
+            17.823243500383466,
+        ],
+    )
+    def test_floats_are_written_as_json_dumps_writes_them(self, value):
+        assert cli._json_float(value) == json.dumps(value)
+
+
 class TestSimulateAndFit:
     @pytest.fixture
     def settings_file(self, tmp_path):
@@ -481,6 +541,30 @@ class TestSimulateAndFit:
         )
 
     @pytest.mark.parametrize(
+        ("point", "k", "message"),
+        [
+            ("0,0,0", "1,1e400,1", "strength K[1-] is above 1.79769e+308, the largest float"),
+            # The total bracket at this point is 1 + sqrt(2)/3, so K * total overflows.
+            ("1,-1,1", "1.5e308", "setting 0: the total cross-section is too large for a float"),
+        ],
+        ids=["strength", "total"],
+    )
+    def test_strength_too_large_for_a_float_is_domain_error(
+        self, capsys, tmp_path, point, k, message
+    ):
+        settings_path = tmp_path / "settings.csv"
+        settings_path.write_text(f"p,P_L,P_N,exposure,depth\n{point},100,0.01\n")
+        code, out, err = run(
+            capsys,
+            "simulate",
+            "--settings", str(settings_path),
+            "--mode", "oam",
+            "--k", k,
+            "--seed", "1",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         ("columns", "mode", "channels"),
         [(4, "oam", 3), (3, "ordinary", 2), (2, "oam", 3)],
         ids=["four-columns-oam", "three-columns-ordinary", "two-columns-oam"],
@@ -672,6 +756,23 @@ class TestEntryPoints:
         assert code == 0
         assert out == ""
         assert out_path.read_text() == "+sqrt(1/3) 0.577350269189626\n"
+
+    def test_one_parser_serves_every_call_of_a_process(self, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        for argv in (
+            ["sweep", "--grid", "1", "--mode", "oam"],
+            ["sweep", "--grid", "3", "--mode", "oam", "--json"],
+            ["sweep", "--grid", "3", "--mode", "oam", "--csv"],
+            ["cg", "1", "+1", "1/2", "-1/2", "3/2", "+1/2"],
+        ):
+            # Bytes, undecoded as text, so that the CSV's \r\n line ends stay.
+            fresh = subprocess.run([sys.executable, "-m", "he3cap", *argv], capture_output=True)
+            expected = (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+            assert run(capsys, *argv) == expected
+        assert len(built) == 1
 
     def test_package_root_exports_the_library_example_names(self):
         import he3cap

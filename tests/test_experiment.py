@@ -363,6 +363,22 @@ class TestSweep:
         model = CaptureModel.uniform(CaptureMode.OAM)
         assert discriminability_sweep(3, model) == discriminability_sweep(3, model)
 
+    @pytest.mark.parametrize("mode", list(CaptureMode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("grid", [9, 13])
+    def test_integer_grid_rows_are_the_design_matrix_rows(self, mode, grid):
+        # The grid's float coordinates come from integers, not from its
+        # Fractions; grid 13's thirds and sixths are not dyadic.
+        pols, coordinates, keys = experiment._grid_points(grid)
+        settings = cube_settings(grid)
+        assert pols == [setting.pol for setting in settings]
+        coefficients = cross_sections.u_coefficients(mode)
+        rows = experiment._unit_brackets(coordinates, pols, mode, coefficients)
+        assert np.array_equal(rows, design_matrix(settings, mode))
+        # Each u-key is the point's u-numerators over the grid's denominator.
+        for pol, key in zip(pols, keys):
+            reduced = cross_sections._u_numerators(pol)
+            assert key == tuple(value * ((grid - 1) ** 2 // reduced[0]) for value in reduced)
+
 
 class TestFileFormats:
     def test_settings_roundtrip_preserves_exact_rationals(self):
