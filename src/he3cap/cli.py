@@ -326,7 +326,8 @@ def _write_sweep_json(
     """The sweep as json.dump(..., indent=2) writes it, point by point from a template.
 
     A point and its flip hold the same decimals, so each fractions block is
-    formatted once.
+    formatted once.  A coordinate's str() is digits, '-' and '/', which JSON
+    writes unescaped.
     """
     header = json.dumps(
         {"metadata": _metadata(args), "mode": args.mode.value, "grid": args.grid}, indent=2
@@ -344,9 +345,9 @@ def _write_sweep_json(
         pol = point.pol
         texts.append(
             "    {\n"
-            f'      "p": {encode_basestring_ascii(str(pol.p))},\n'
-            f'      "P_L": {encode_basestring_ascii(str(pol.pl))},\n'
-            f'      "P_N": {encode_basestring_ascii(str(pol.pn))},\n'
+            f'      "p": "{pol.p}",\n'
+            f'      "P_L": "{pol.pl}",\n'
+            f'      "P_N": "{pol.pn}",\n'
             f'      "fractions": {{\n{block}\n      }},\n'
             f'      "condition_number": {_json_float(point.condition_number)}\n'
             "    }"

@@ -436,13 +436,18 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[Sw
         coefficients,
     )
     # One square design per point: the reference rows, then the point's row.
-    designs = np.empty((len(points), len(references) + 1, rows.shape[1]))
+    # The flip of point i is point N - 1 - i, with the same row of floats,
+    # since its pairwise products are the same; so half the designs are
+    # decomposed, and the other half mirror them.
+    half = (len(points) + 1) // 2
+    designs = np.empty((half, len(references) + 1, rows.shape[1]))
     designs[:, :-1] = rows[: len(references)]
-    designs[:, -1] = rows[len(references) :]
+    designs[:, -1] = rows[len(references) : len(references) + half]
     singular_values = np.linalg.svd(designs, compute_uv=False)
     largest, smallest = singular_values[:, 0], singular_values[:, -1]
-    conditions = np.full(len(points), math.inf)
+    conditions = np.full(half, math.inf)
     np.divide(largest, smallest, out=conditions, where=smallest > 0)
+    conditions = np.concatenate([conditions, conditions[: len(points) - half][::-1]])
 
     first: dict[tuple[int, int, int, int], PolarizationTriple] = {}
     for key, pol in zip(keys, points):
