@@ -302,6 +302,7 @@ MAX_SIMULATED_EXPOSURE = 1e18
 
 
 def _float_strength(strength: Fraction, channel: Channel) -> float:
+    """A strength as a float; one beyond the float range raises DomainError naming its channel."""
     try:
         return float(strength)
     except OverflowError:
@@ -415,12 +416,13 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[Sw
     sorted stably by condition number; the points are generated in
     lexicographic (p, P_L, P_N) order, so ties keep that order.
 
-    The u-coefficients of the closed form in force are read once.  The
-    condition numbers come from the float path and one batched SVD, a row
-    per point.  The fractions depend on a point only through its
-    u-numerators, which a point shares with its flip (-p, -P_L, -P_N), so
-    the points are grouped by them, taken over the grid's common
-    denominator.  Each group's shares come from channel_share_numerators as
+    The u-coefficients of the closed form in force are read once.  A point
+    and its flip (-p, -P_L, -P_N) have the same u-vector.  The condition
+    numbers come from the float path and one batched SVD over the first
+    half of the grid, since a point's flip has the same float row; the
+    other half mirrors them.  The fractions depend on a point only through
+    its u-numerators, so the points are grouped by them, taken over the
+    grid's common denominator.  Each group's shares come from channel_share_numerators as
     integers, evaluated and rendered to 15 significant digits once, for the
     group's first point in grid order; each share is still decided by field
     arithmetic.  A point where the total vanishes raises DomainError naming
@@ -436,9 +438,8 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[Sw
         coefficients,
     )
     # One square design per point: the reference rows, then the point's row.
-    # The flip of point i is point N - 1 - i, with the same row of floats,
-    # since its pairwise products are the same; so half the designs are
-    # decomposed, and the other half mirror them.
+    # In lexicographic order the flip of point i is point N - 1 - i, and
+    # (-x)*(-y) == x*y in floats, so the second half mirrors the first.
     half = (len(points) + 1) // 2
     designs = np.empty((half, len(references) + 1, rows.shape[1]))
     designs[:, :-1] = rows[: len(references)]
