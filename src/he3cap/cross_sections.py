@@ -23,6 +23,13 @@ Two independent evaluation routes are kept side by side on purpose:
   integer numerators over a common denominator.  Neither part reads the
   closed-form table, and every point asked for is summed afresh.
 
+compare_with_oracle, which oracle-check runs, streams its grid in integers:
+every coordinate is i/d with d = resolution - 1, the occupations are formed
+once per point and each channel's table is summed against them.  A
+closed-form part n/m equals the oracle's part r/s exactly when n*s == r*m,
+so equality is decided by cross-multiplication, and the oracle's exact
+value is built only where a closed form and the oracle disagree.
+
 Everything is exact rational / Q(sqrt(2)) arithmetic, so agreement between
 the two routes is decided by field equality, never by tolerance.  The
 reconciliation report produced here is a first-class output: it is how the
@@ -62,6 +69,16 @@ class Channel:
 
     j_final: HalfInt
     parity: Parity
+
+    def __post_init__(self) -> None:
+        # Channels key the closed-form rows, the substate tables and the
+        # strengths, so the hash is computed once, here.  It is built from
+        # ints alone, so that it does not depend on the process's string
+        # hash seed and a copied or unpickled channel keeps a valid one.
+        object.__setattr__(self, "_hash", hash((self.j_final.twice, self.parity is Parity.ODD)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def label(self) -> str:
@@ -109,6 +126,8 @@ class CaptureModel:
         for value in strengths:
             if value < 0:
                 raise DomainError(f"strength constants must be nonnegative, got {value}")
+        # strength() looks a channel up here instead of scanning channels_for.
+        object.__setattr__(self, "_by_channel", dict(zip(channels_for(self.mode), strengths)))
 
     @classmethod
     def uniform(cls, mode: CaptureMode, strength: RationalLike = 1) -> CaptureModel:
@@ -131,12 +150,11 @@ class CaptureModel:
 
     def strength(self, channel: Channel) -> Fraction:
         try:
-            index = self.channels.index(channel)
-        except ValueError:
+            return self._by_channel[channel]
+        except KeyError:
             raise ModeMismatchError(
                 f"channel {channel.label} does not belong to {self.mode.value} mode"
             ) from None
-        return self.strengths[index]
 
 
 @dataclass(frozen=True)
@@ -176,13 +194,9 @@ def _require_mode(model: CaptureModel, mode: CaptureMode, operation: str) -> Non
 def _integer_point(pol: PolarizationTriple) -> tuple[int, int, int, int]:
     """(d, x, y, z) with d the lcm of the three denominators, p = x/d, P_L = y/d, P_N = z/d."""
     p, pl, pn = pol.p, pol.pl, pol.pn
-    d = math.lcm(p.denominator, pl.denominator, pn.denominator)
-    return (
-        d,
-        p.numerator * (d // p.denominator),
-        pl.numerator * (d // pl.denominator),
-        pn.numerator * (d // pn.denominator),
-    )
+    dp, dl, dn = p.denominator, pl.denominator, pn.denominator
+    d = math.lcm(dp, dl, dn)
+    return d, p.numerator * (d // dp), pl.numerator * (d // dl), pn.numerator * (d // dn)
 
 
 def _u_numerators(pol: PolarizationTriple) -> tuple[int, int, int, int]:
@@ -229,9 +243,14 @@ def oam_closed_form(
     return _tabulated(channel, pol, model)
 
 
+# The neutron's orbital momentum L for each parity of compound state.
+_S_WAVE = HalfInt(0)
+_P_WAVE = HalfInt(2)
+
+
 def _orbital_momentum(channel: Channel) -> HalfInt:
     """The neutron's orbital momentum L: 0 feeds an even-parity channel, 1 an odd one."""
-    return HalfInt(2) if channel.parity is Parity.ODD else HalfInt(0)
+    return _P_WAVE if channel.parity is Parity.ODD else _S_WAVE
 
 
 # A substate table: one denominator D, then one entry per substate tuple,
@@ -284,32 +303,50 @@ def _substates(channel: Channel) -> _Substates:
     return lcm, tuple((key, int(a * lcm), int(b * lcm)) for key, a, b in entries)
 
 
+def _substate_sums(
+    channels: Sequence[Channel], d: int, x: int, y: int, z: int
+) -> list[tuple[int, int, int]]:
+    """One (rational, root, scale) per channel: its substate sum at K = 1, in integers.
+
+    The point is p = x/d, P_L = y/d, P_N = z/d for any common denominator
+    d > 0, and the channel's sum over its substate table of
+    p(m_N) p(m_L) p(mu) |A|^2 is (rational + root*sqrt(2)) / scale.  A
+    spin-1/2 with polarization P occupies m = +-1/2 with probability
+    (1 +- P)/2, so the spin and nuclear occupations are (d +- x)/2d and
+    (d +- z)/2d.  The preparation device puts every L = 1 neutron into
+    m_L = +1 or -1 along its wavevector, never 0, so its orbital occupations
+    are (d +- y)/2d and m_L = 0 gets 0; an L = 0 neutron has m_L = 0, that
+    is 2d/2d.  The occupation numerators are formed once for all the
+    channels, and each table is summed over them afresh, rational and
+    sqrt(2) parts apart; scale is the table's denominator times (2d)^3.
+    """
+    nuclear, spin = {1: d + z, -1: d - z}, {1: d + x, -1: d - x}
+    s_wave, p_wave = {0: 2 * d}, {2: d + y, 0: 0, -2: d - y}
+    cube = 8 * d**3
+    sums = []
+    for channel in channels:
+        orbital = p_wave if _orbital_momentum(channel).twice else s_wave
+        denominator, entries = _substates(channel)
+        rational = root = 0
+        for (m_nuclear, m_orbital, m_spin), a, b in entries:
+            weight = nuclear[m_nuclear] * orbital[m_orbital] * spin[m_spin]
+            rational += weight * a
+            root += weight * b
+        sums.append((rational, root, denominator * cube))
+    return sums
+
+
 def _contract(
     channel: Channel, pol: PolarizationTriple, model: CaptureModel
 ) -> ChannelCrossSection:
     """K * sum over the channel's substate table of p(m_N) p(m_L) p(mu) |A|^2.
 
-    A spin-1/2 with polarization P occupies m = +-1/2 with probability
-    (1 +- P)/2.  With d the lcm of the point's three denominators, p = x/d,
-    P_L = y/d and P_N = z/d, so the spin and nuclear occupations are
-    (d +- x)/2d and (d +- z)/2d.  The preparation device puts every L = 1
-    neutron into m_L = +1 or -1 along its wavevector, never 0, so its
-    orbital occupations are (d +- y)/2d and m_L = 0 gets 0; an L = 0
-    neutron has m_L = 0, that is 2d/2d.  The sum runs over the integer
-    numerators, rational and sqrt(2) parts apart, and one Fraction per part
-    divides out K, the table's denominator and (2d)^3.
+    The sum comes from _substate_sums at the lcm d of the point's three
+    denominators, and one Fraction per part divides out K and its scale.
     """
     strength = model.strength(channel)  # rejects channels of the other mode
-    d, x, y, z = _integer_point(pol)
-    nuclear, spin = {1: d + z, -1: d - z}, {1: d + x, -1: d - x}
-    orbital = {2: d + y, 0: 0, -2: d - y} if _orbital_momentum(channel).twice else {0: 2 * d}
-    denominator, entries = _substates(channel)
-    rational = root = 0
-    for (m_nuclear, m_orbital, m_spin), a, b in entries:
-        weight = nuclear[m_nuclear] * orbital[m_orbital] * spin[m_spin]
-        rational += weight * a
-        root += weight * b
-    k, scale = strength.numerator, strength.denominator * denominator * 8 * d**3
+    ((rational, root, scale),) = _substate_sums((channel,), *_integer_point(pol))
+    k, scale = strength.numerator, strength.denominator * scale
     value = QuadRational(Fraction(k * rational, scale), Fraction(k * root, scale))
     return ChannelCrossSection(channel, value)
 
@@ -600,23 +637,37 @@ def compare_with_oracle(mode: CaptureMode, resolution: int = 5) -> Reconciliatio
     """Check closed forms against the substate-sum oracle on an exact grid.
 
     Ordinary mode scans (p, P_N) with P_L = 0; OAM mode scans the full cube.
-    Any disagreement is reported point by point, never absorbed.
+    The grid is walked in integers over d = resolution - 1, each coordinate
+    i/d beside its Fraction, one point at a time.  At every point the closed
+    form of each channel is evaluated at K = 1 and the oracle's substate sums
+    are formed afresh in integers; a closed-form part n/m equals the oracle's
+    part r/s exactly when n*s == r*m.  Only a mismatch builds the oracle's
+    QuadRational, and any disagreement is reported point by point, never
+    absorbed.
     """
-    values = grid_values(resolution)
-    model = CaptureModel.uniform(mode)
+    values = grid_values(resolution)  # rejects a resolution below 2
+    d = resolution - 1
+    axis = tuple(zip(values, range(-d, d + 1, 2)))
     if mode is CaptureMode.ORDINARY:
-        points = [PolarizationTriple(p, Fraction(0), pn) for p in values for pn in values]
+        unpolarized = (Fraction(0), 0)
+        points = ((p, unpolarized, pn) for p in axis for pn in axis)
     else:
-        points = [
-            PolarizationTriple(p, pl, pn) for p in values for pl in values for pn in values
-        ]
-
+        points = product(axis, repeat=3)
+    model = CaptureModel.uniform(mode)
+    channels = channels_for(mode)
     discrepancies = []
-    for pol in points:
-        for channel in channels_for(mode):
+    points_checked = 0
+    for (p, x), (pl, y), (pn, z) in points:
+        pol = PolarizationTriple(p, pl, pn)
+        points_checked += 1
+        sums = _substate_sums(channels, d, x, y, z)
+        for channel, (rational, root, scale) in zip(channels, sums):
             closed_value = closed_form(channel, pol, model).value
-            oracle_value = oracle(channel, pol, model).value
-            if closed_value != oracle_value:
+            a, b = closed_value.a, closed_value.b
+            if a.numerator * scale != rational * a.denominator or (
+                b.numerator * scale != root * b.denominator
+            ):
+                oracle_value = QuadRational(Fraction(rational, scale), Fraction(root, scale))
                 discrepancies.append(Discrepancy(channel, pol, closed_value, oracle_value))
     extrema = j2_corner_extrema() if mode is CaptureMode.OAM else None
-    return ReconciliationReport(mode, resolution, len(points), tuple(discrepancies), extrema)
+    return ReconciliationReport(mode, resolution, points_checked, tuple(discrepancies), extrema)

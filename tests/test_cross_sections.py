@@ -1,13 +1,19 @@
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import he3cap.cross_sections as cross_sections
+from he3cap.angular import HalfInt
 from he3cap.cross_sections import (
     OAM_CHANNELS,
     ORDINARY_CHANNELS,
@@ -15,6 +21,10 @@ from he3cap.cross_sections import (
     TRIPLET,
     CaptureMode,
     CaptureModel,
+    Channel,
+    Discrepancy,
+    Parity,
+    ReconciliationReport,
     channel_cross_sections,
     channel_fractions,
     channels_for,
@@ -66,6 +76,41 @@ class TestModelTypes:
         assert model.strength(J1) == 2
         with pytest.raises(ModeMismatchError):
             model.strength(TRIPLET)
+
+    def test_a_fresh_channel_finds_its_strength_and_rows(self):
+        # Lookups hash a channel by its fields, so an equal channel built
+        # anew finds what the module's own instance does.
+        fresh = Channel(HalfInt(2), Parity.ODD)
+        assert fresh == J1 and fresh is not J1 and hash(fresh) == hash(J1)
+        assert CaptureModel.oam(1, 2, 3).strength(fresh) == 2
+        assert cross_sections._BRACKETS[fresh] == cross_sections._BRACKETS[J1]
+        assert cross_sections._substates(fresh) == cross_sections._substates(J1)
+        with pytest.raises(ModeMismatchError):
+            CaptureModel.ordinary(1, 3).strength(fresh)
+        with pytest.raises(ModeMismatchError):
+            CaptureModel.oam(1, 2, 3).strength(Channel(HalfInt(2), Parity.EVEN))
+
+    def test_a_pickled_channel_is_found_under_another_hash_seed(self):
+        # A channel carries its hash, so the hash may not depend on the
+        # string hash seed of the process that built it.
+        script = (
+            "import pickle, sys\n"
+            "from he3cap.cross_sections import OAM_CHANNELS\n"
+            "channel, model = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(model.strength(OAM_CHANNELS[1]), model.strength(channel))\n"
+        )
+        source = str(Path(cross_sections.__file__).parents[1])
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source}
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                input=pickle.dumps((J1, CaptureModel.oam(1, 2, 3))),
+                capture_output=True,
+                env=env,
+                check=True,
+                timeout=60,
+            )
+            assert result.stdout.split() == [b"2", b"2"]
 
 
 class TestOrdinaryClosedForm:
@@ -556,3 +601,110 @@ class TestReconciliation:
         assert payload["discrepancies"] == []
         assert payload["j2_extrema"]["maximum"]["value_exact"] == "1"
         assert payload["j2_extrema"]["minimum"]["value_exact"] == "1/6"
+
+
+def _faulted(original, wrong_channel, shift):
+    """original with shift(pol) added to wrong_channel's value, shift a QuadRational or None."""
+
+    def faulted(channel, pol, model):
+        section = original(channel, pol, model)
+        offset = shift(pol) if channel == wrong_channel else None
+        if offset is None:
+            return section
+        return cross_sections.ChannelCrossSection(channel, section.value + offset)
+
+    return faulted
+
+
+def _reference_report(mode, resolution):
+    """compare_with_oracle as a plain loop: closed_form against oracle() at every point."""
+    values = grid_values(resolution)
+    model = CaptureModel.uniform(mode)
+    if mode is CaptureMode.ORDINARY:
+        points = [PolarizationTriple(p, Fraction(0), pn) for p in values for pn in values]
+    else:
+        points = [PolarizationTriple(*point) for point in product(values, repeat=3)]
+    discrepancies = []
+    for pol in points:
+        for channel in channels_for(mode):
+            closed_value = cross_sections.closed_form(channel, pol, model).value
+            oracle_value = oracle(channel, pol, model).value
+            if closed_value != oracle_value:
+                discrepancies.append(Discrepancy(channel, pol, closed_value, oracle_value))
+    extrema = j2_corner_extrema() if mode is CaptureMode.OAM else None
+    return ReconciliationReport(mode, resolution, len(points), tuple(discrepancies), extrema)
+
+
+# The closed form each mode dispatches to, and the channel a fault is put into.
+_MODE_FORMS = {
+    CaptureMode.OAM: ("oam_closed_form", J1),
+    CaptureMode.ORDINARY: ("ordinary_closed_form", TRIPLET),
+}
+
+
+class TestAdjudication:
+    """compare_with_oracle against the per-point loop it streams."""
+
+    @pytest.mark.parametrize(
+        ("mode", "point"),
+        [
+            (CaptureMode.OAM, PolarizationTriple.of("1/2", "-1/2", 0)),
+            (CaptureMode.ORDINARY, PolarizationTriple.of("1/2", 0, "-1/2")),
+        ],
+        ids=["oam", "ordinary"],
+    )
+    def test_a_fault_at_one_interior_point_is_the_one_discrepancy(self, monkeypatch, mode, point):
+        name, wrong_channel = _MODE_FORMS[mode]
+        original = getattr(cross_sections, name)
+        shift = rational("1/1000")
+        monkeypatch.setattr(
+            cross_sections,
+            name,
+            _faulted(original, wrong_channel, lambda pol: shift if pol == point else None),
+        )
+        report = compare_with_oracle(mode, 5)
+        assert not report.agreement
+        assert [(item.channel, item.pol) for item in report.discrepancies] == [
+            (wrong_channel, point)
+        ]
+        (item,) = report.discrepancies
+        model = CaptureModel.uniform(mode)
+        assert item.oracle_value == oracle(wrong_channel, point, model).value
+        assert item.closed_value == original(wrong_channel, point, model).value + shift
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["sound", "faulty"])
+    @pytest.mark.parametrize("mode", list(CaptureMode), ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 5])
+    def test_report_equals_the_per_point_loop(self, monkeypatch, resolution, mode, faulty):
+        # Grid 4 has thirds for coordinates, so its d = 3 is odd.  The fault
+        # shifts the rational part by p*P_N/1000 and the sqrt(2) part by
+        # P_N^2/1000, so at p = 0 only the sqrt(2) parts differ.
+        if faulty:
+            name, wrong_channel = _MODE_FORMS[mode]
+            shifted = _faulted(
+                getattr(cross_sections, name),
+                wrong_channel,
+                lambda pol: QuadRational(pol.p * pol.pn / 1000, pol.pn * pol.pn / 1000),
+            )
+            monkeypatch.setattr(cross_sections, name, shifted)
+        report = compare_with_oracle(mode, resolution)
+        assert report.agreement is not faulty
+        assert report.to_json_dict() == _reference_report(mode, resolution).to_json_dict()
+
+    @pytest.mark.parametrize(
+        ("mode", "calls"), [(CaptureMode.OAM, 729 * 3), (CaptureMode.ORDINARY, 81 * 2)]
+    )
+    def test_every_point_and_channel_reads_the_closed_form(self, monkeypatch, mode, calls):
+        # Only a scan of every point catches a closed form that is not
+        # multilinear, so the adjudication may not read a sample in its place.
+        original = cross_sections.closed_form
+        seen = []
+
+        def counted(channel, pol, model):
+            seen.append((channel, pol))
+            return original(channel, pol, model)
+
+        monkeypatch.setattr(cross_sections, "closed_form", counted)
+        assert compare_with_oracle(mode, 9).agreement
+        assert len(seen) == calls
+        assert len(set(seen)) == calls
