@@ -206,6 +206,9 @@ def _u_numerators(pol: PolarizationTriple) -> tuple[int, int, int, int]:
     return dd, dd - x * y, dd - x * z, dd - y * z
 
 
+_ZERO = Fraction(0)
+
+
 def _tabulated(
     channel: Channel, pol: PolarizationTriple, model: CaptureModel
 ) -> ChannelCrossSection:
@@ -214,9 +217,9 @@ def _tabulated(
     denominator, rational, root = _BRACKETS[channel]
     u = _u_numerators(pol)
     k, scale = strength.numerator, strength.denominator * denominator * u[0]
-    value = QuadRational(
-        Fraction(k * sum(map(mul, rational, u)), scale), Fraction(k * sum(map(mul, root, u)), scale)
-    )
+    a, b = k * sum(map(mul, rational, u)), k * sum(map(mul, root, u))
+    # A zero part, such as the sqrt(2) part of every channel but 1-, needs no gcd.
+    value = QuadRational(Fraction(a, scale) if a else _ZERO, Fraction(b, scale) if b else _ZERO)
     return ChannelCrossSection(channel, value)
 
 
