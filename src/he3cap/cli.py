@@ -50,7 +50,7 @@ from .levels import (
 from .polarization import PolarizationTriple
 
 if TYPE_CHECKING:
-    from .experiment import SweepPoint
+    from .experiment import Sweep
 
 EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
@@ -321,38 +321,37 @@ def _json_float(value: float) -> str:
 
 
 def _write_sweep_json(
-    args: argparse.Namespace, sink: TextIO, labels: Sequence[str], points: Sequence[SweepPoint]
+    args: argparse.Namespace, sink: TextIO, labels: Sequence[str], sweep: Sweep
 ) -> None:
-    """The sweep as json.dump(..., indent=2) writes it, point by point from a template.
+    """The sweep as json.dump(..., indent=2) writes it, row by row from a template.
 
-    A point and its flip hold the same decimals, so each fractions block is
-    formatted once.  A coordinate's str() is digits, '-' and '/', which JSON
-    writes unescaped.
+    Each share group's fractions block is formatted once; a point and its
+    flip share one.  Each row is written as it is formatted, so the whole
+    document is never held as one string.  A coordinate's text is digits,
+    '-' and '/', which JSON writes unescaped.
     """
     header = json.dumps(
         {"metadata": _metadata(args), "mode": args.mode.value, "grid": args.grid}, indent=2
     )
     keys = [f'        {encode_basestring_ascii(label)}: ' for label in labels]
-    blocks: dict[tuple[str, ...], str] = {}
-    texts = []
-    for point in points:
-        decimals = point.decimals
-        block = blocks.get(decimals)
-        if block is None:
-            block = blocks[decimals] = ",\n".join(
-                key + encode_basestring_ascii(text) for key, text in zip(keys, decimals)
-            )
-        pol = point.pol
-        texts.append(
-            "    {\n"
-            f'      "p": "{pol.p}",\n'
-            f'      "P_L": "{pol.pl}",\n'
-            f'      "P_N": "{pol.pn}",\n'
-            f'      "fractions": {{\n{block}\n      }},\n'
-            f'      "condition_number": {_json_float(point.condition_number)}\n'
+    blocks = [
+        ",\n".join(key + encode_basestring_ascii(text) for key, text in zip(keys, decimals))
+        for decimals in zip(*sweep.decimals)
+    ]
+    sink.write(header[:-2] + ',\n  "points": [\n')
+    separator = ""
+    for p, pl, pn, group, condition in sweep.rows():
+        sink.write(
+            f'{separator}    {{\n'
+            f'      "p": "{p}",\n'
+            f'      "P_L": "{pl}",\n'
+            f'      "P_N": "{pn}",\n'
+            f'      "fractions": {{\n{blocks[group]}\n      }},\n'
+            f'      "condition_number": {_json_float(condition)}\n'
             "    }"
         )
-    sink.write(header[:-2] + ',\n  "points": [\n' + ",\n".join(texts) + "\n  ]\n}\n")
+        separator = ",\n"
+    sink.write("\n  ]\n}\n")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -360,18 +359,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiment import discriminability_sweep
 
     model = _model_from_args(args)
-    points = discriminability_sweep(args.grid, model)
+    sweep = discriminability_sweep(args.grid, model)
     channels = channels_for(args.mode)
     with _sink(args) as sink:
         if args.json:
-            _write_sweep_json(args, sink, [ch.label for ch in channels], points)
+            _write_sweep_json(args, sink, [ch.label for ch in channels], sweep)
         else:
             headers = ["p", "P_L", "P_N"] + [f"frac_j{ch.j_final}" for ch in channels]
             rows = [
-                [str(point.pol.p), str(point.pol.pl), str(point.pol.pn)]
-                + list(point.decimals)
-                + [f"{point.condition_number:.6g}"]
-                for point in points
+                [p, pl, pn, *(column[group] for column in sweep.decimals), f"{condition:.6g}"]
+                for p, pl, pn, group, condition in sweep.rows()
             ]
             _emit(args, sink, headers + ["condition"], rows, {})
     return EXIT_OK

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .angular import HalfInt, cg, coupling_range, projections
 from .errors import DomainError, ModeMismatchError
@@ -454,23 +454,25 @@ def share_value(share: Share) -> QuadRational:
 
 
 def channel_share_numerators(
-    points: Iterable[tuple[tuple[int, int, int, int], PolarizationTriple]],
+    us: Iterable[tuple[int, int, int, int]],
     model: CaptureModel,
     coefficients: Sequence[_Row],
-) -> list[tuple[Share, ...]]:
+    point: Callable[[int], PolarizationTriple],
+) -> Iterator[tuple[Share, ...]]:
     """Exact share of each channel in the total cross-section, as integers.
 
-    points pairs each point's u-numerators U with the point, which only
-    names a point where the total vanishes; coefficients are the rows of
-    u_coefficients(model.mode).  U is d^2 * (1, u1, u2, u3) for any common
-    denominator d of the point's coordinates, such as _u_numerators(pol)
-    gives; the shares do not depend on which.  Channel c is
+    Yields one row of shares per u-numerators U in us; coefficients are the
+    rows of u_coefficients(model.mode), and point(i) gives the i-th point,
+    called only to name a point where the total vanishes.  U is
+    d^2 * (1, u1, u2, u3) for any common denominator d of the point's
+    coordinates, such as _u_numerators(pol) gives; the shares do not depend
+    on which.  Channel c is
     (n_c/m_c) * (R_c + S_c*sqrt(2)) . U / (D_c * d^2), with (D_c, R_c, S_c)
     its row and K_c = n_c/m_c.  One integer weight per channel brings every
     channel to a common scale, which cancels in the shares, so sigma_c is
     proportional to a_c + b_c*sqrt(2) with integers a_c, b_c.  With A and B
     their sums, each share is
-    ((a_c*A - 2*b_c*B) + (b_c*A - a_c*B)*sqrt(2)) / (A^2 - 2*B^2), returned
+    ((a_c*A - 2*b_c*B) + (b_c*A - a_c*B)*sqrt(2)) / (A^2 - 2*B^2), yielded
     as that (P, Q, N) with the signs turned so that N > 0, and not reduced.
     A^2 - 2*B^2 vanishes exactly when the total does, since sqrt(2) is
     irrational; that raises DomainError naming the first such point.
@@ -488,14 +490,13 @@ def channel_share_numerators(
     total_r = [sum(column) for column in zip(*scaled_r)]
     total_s = [sum(column) for column in zip(*scaled_s)]
 
-    shares = []
-    for u, pol in points:
+    for index, u in enumerate(us):
         big_a = sum(map(mul, total_r, u))
         big_b = sum(map(mul, total_s, u))
         norm = big_a * big_a - 2 * big_b * big_b
         if norm == 0:
             raise DomainError(
-                f"total cross-section is zero at {pol}; channel fractions are undefined"
+                f"total cross-section is zero at {point(index)}; channel fractions are undefined"
             )
         if norm < 0:
             # Turning A and B turns P and Q, so N = -norm keeps each share.
@@ -504,8 +505,7 @@ def channel_share_numerators(
         for r, s in zip(scaled_r, scaled_s):
             a, b = sum(map(mul, r, u)), sum(map(mul, s, u))
             row.append((a * big_a - 2 * b * big_b, b * big_a - a * big_b, norm))
-        shares.append(tuple(row))
-    return shares
+        yield tuple(row)
 
 
 def channel_fraction_rows(
@@ -516,8 +516,9 @@ def channel_fraction_rows(
     The integers come from channel_share_numerators, with the closed forms
     in force read once through u_coefficients.
     """
-    points = [(_u_numerators(pol), pol) for pol in pols]
-    rows = channel_share_numerators(points, model, u_coefficients(model.mode))
+    rows = channel_share_numerators(
+        map(_u_numerators, pols), model, u_coefficients(model.mode), pols.__getitem__
+    )
     return [tuple(share_value(share) for share in row) for row in rows]
 
 

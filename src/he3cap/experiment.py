@@ -34,8 +34,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import attrgetter
+from itertools import repeat
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -361,7 +360,7 @@ class SweepPoint:
     shares holds each channel's share of the total as integers (P, Q, N),
     meaning (P + Q*sqrt(2)) / N with N > 0, and decimals the same shares
     rendered to 15 significant digits.  Points with equal u-numerators, such
-    as a point and its flip, hold the same two tuples.
+    as a point and its flip, hold equal shares and decimals.
     """
 
     pol: PolarizationTriple
@@ -383,30 +382,148 @@ def _reference_settings(mode: CaptureMode) -> list[PolarizationTriple]:
     return [PolarizationTriple.of(0, 0, 0)]
 
 
-def _grid_points(
-    grid_resolution: int,
-) -> tuple[list[PolarizationTriple], np.ndarray, list[tuple[int, int, int, int]]]:
-    """The uniform grid over [-1, 1]^3 in lexicographic (p, P_L, P_N) order.
+class _GridPoints(Sequence[PolarizationTriple]):
+    """The points head, then the grid's points in lexicographic (p, P_L, P_N) order.
+
+    values are the grid's coordinates, as grid_values gives them.  Grid
+    point i * n^2 + j * n + k, with n = len(values), is
+    (values[i], values[j], values[k]); it is built only when indexed.
+    """
+
+    def __init__(
+        self, values: tuple[Fraction, ...], head: Sequence[PolarizationTriple] = ()
+    ) -> None:
+        self._values = values
+        self._head = head
+
+    def __len__(self) -> int:
+        return len(self._head) + len(self._values) ** 3
+
+    def __getitem__(self, index: int) -> PolarizationTriple:
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        if index < len(self._head):
+            return self._head[index]
+        n = len(self._values)
+        i, rest = divmod(index - len(self._head), n * n)
+        j, k = divmod(rest, n)
+        return PolarizationTriple(self._values[i], self._values[j], self._values[k])
+
+
+def _grid(grid_resolution: int) -> tuple[tuple[Fraction, ...], np.ndarray, np.ndarray]:
+    """The uniform grid over [-1, 1]^3 in lexicographic (p, P_L, P_N) order, as columns.
 
     With d = grid_resolution - 1, every coordinate is i/d for one of the
     integers i = -d, -d + 2, ..., d, so the grid is walked in integers.
-    Returns the exact points; their (N, 3) float coordinates, each the
-    correctly rounded i/d, as float() of the Fraction gives; and their
-    u-numerators over the common denominator d, (d^2, d^2 - xy, d^2 - xz,
-    d^2 - yz) for p = x/d, P_L = y/d, P_N = z/d.
+    Returns the grid's values, as grid_values gives them; the points' (N, 3)
+    float coordinates, each the correctly rounded i/d, as float() of the
+    Fraction gives; and their (N, 3) integer pair products (xy, xz, yz) for
+    p = x/d, P_L = y/d, P_N = z/d, so that a point's u-numerators over the
+    common denominator d are (d^2, d^2 - xy, d^2 - xz, d^2 - yz).
     """
     values = grid_values(grid_resolution)  # rejects a resolution below 2
     d = grid_resolution - 1
-    numerators = range(-d, d + 1, 2)
-    pols = [PolarizationTriple(*point) for point in product(values, repeat=3)]
-    axis = np.array([i / d for i in numerators])
-    coordinates = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    numerators = np.arange(-d, d + 1, 2, dtype=np.int64)
+    indices = np.indices((grid_resolution,) * 3).reshape(3, -1)
+    coordinates = (numerators / d)[indices.T]
+    x, y, z = numerators[indices]
+    return values, coordinates, np.column_stack([x * y, x * z, y * z])
+
+
+def _share_groups(products: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the points by their pair products, groups in order of first occurrence.
+
+    Returns the index of each group's first point, ascending, and each
+    point's group.  Each product lies in [-d^2, d^2], so one int64 key in
+    base 2*d^2 + 1 tells the triples apart.
+    """
+    base = 2 * d * d + 1
+    digits = products + d * d
+    keys = (digits[:, 0] * base + digits[:, 1]) * base + digits[:, 2]
+    _, first, groups = np.unique(keys, return_index=True, return_inverse=True)
+    by_occurrence = np.argsort(first)
+    rank = np.empty_like(by_occurrence)
+    rank[by_occurrence] = np.arange(len(by_occurrence))
+    return first[by_occurrence], rank[groups.ravel()]
+
+
+def _u_key(xy: int, xz: int, yz: int, d: int) -> tuple[int, int, int, int]:
+    """The u-numerators (d^2, d^2 - xy, d^2 - xz, d^2 - yz) of a point's pair products over d."""
     dd = d * d
-    keys = [(dd, dd - x * y, dd - x * z, dd - y * z) for x, y, z in product(numerators, repeat=3)]
-    return pols, coordinates, keys
+    return dd, dd - xy, dd - xz, dd - yz
 
 
-def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[SweepPoint]:
+class Sweep(Sequence[SweepPoint]):
+    """A discriminability sweep: the grid's points sorted by condition number, as columns.
+
+    Row r is the grid point of lexicographic index order[r].  rows() yields
+    each row's three coordinate texts, its share group and its condition
+    number, and decimals holds, per channel, the rendered share of each
+    group; the writers read these.  Indexing builds the row's SweepPoint,
+    with its exact point and shares, only when it is read.
+    """
+
+    def __init__(
+        self,
+        model: CaptureModel,
+        coefficients: Sequence[tuple],
+        values: tuple[Fraction, ...],
+        products: np.ndarray,
+        order: np.ndarray,
+        groups: np.ndarray,
+        conditions: np.ndarray,
+        decimals: tuple[list[str], ...],
+    ) -> None:
+        self._model = model
+        self._coefficients = coefficients
+        self._points = _GridPoints(values)
+        self._d = len(values) - 1
+        self._products = products
+        self._texts = [str(value) for value in values]
+        self._order = order
+        self._groups = groups
+        self._conditions = conditions
+        self.decimals = decimals
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def rows(self) -> Iterator[tuple[str, str, str, int, float]]:
+        """Each row in order as (p, P_L, P_N) texts, share group, condition number."""
+        n = len(self._texts)
+        i, rest = np.divmod(self._order, n * n)
+        j, k = np.divmod(rest, n)
+        text = self._texts.__getitem__
+        return zip(
+            map(text, i.tolist()),
+            map(text, j.tolist()),
+            map(text, k.tolist()),
+            self._groups.tolist(),
+            self._conditions.tolist(),
+        )
+
+    def __getitem__(self, row: int) -> SweepPoint:
+        if isinstance(row, slice):
+            return [self[r] for r in range(*row.indices(len(self)))]
+        index = int(self._order[row])
+        pol = self._points[index]
+        (shares,) = channel_share_numerators(
+            [_u_key(*self._products[index].tolist(), self._d)],
+            self._model,
+            self._coefficients,
+            lambda _: pol,
+        )
+        group = int(self._groups[row])
+        decimals = tuple(column[group] for column in self.decimals)
+        return SweepPoint(pol, shares, decimals, float(self._conditions[row]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Sweep, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> Sweep:
     """Rank grid points by how well they complete a strength-fitting design.
 
     For every point of the uniform grid over [-1, 1]^3 this reports the exact
@@ -416,31 +533,37 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[Sw
     sorted stably by condition number; the points are generated in
     lexicographic (p, P_L, P_N) order, so ties keep that order.
 
-    The u-coefficients of the closed form in force are read once.  A point
-    and its flip (-p, -P_L, -P_N) have the same u-vector.  The condition
-    numbers come from the float path and one batched SVD over the first
-    half of the grid, since a point's flip has the same float row; the
-    other half mirrors them.  The fractions depend on a point only through
-    its u-numerators, so the points are grouped by them, taken over the
-    grid's common denominator.  Each group's shares come from channel_share_numerators as
-    integers, evaluated and rendered to 15 significant digits once, for the
-    group's first point in grid order; each share is still decided by field
-    arithmetic.  A point where the total vanishes raises DomainError naming
-    the first such point.
+    The grid is held as columns, not as a point object per grid point: float
+    coordinates and integer pair products over d = grid_resolution - 1
+    (_grid), and each coordinate's text looked up by index.  An exact point
+    is built only where _unit_brackets re-decides an entry near zero, to
+    name a point where the total vanishes, or when a caller reads a
+    SweepPoint.  The u-coefficients of the closed form in force are read
+    once.  The condition numbers come from the float path and one batched
+    SVD over the first half of the grid, since a point's flip (-p, -P_L,
+    -P_N) has the same float row; the other half mirrors them.  The
+    fractions depend on a point only through its u-numerators, so numpy
+    groups the points by their pair products, groups in order of first
+    occurrence.  channel_share_numerators streams each group's shares as
+    integers, and each is rendered to 15 significant digits at once; each
+    share is still decided by field arithmetic.  A point where the total
+    vanishes raises DomainError naming the first such point in grid order.
     """
-    points, coordinates, keys = _grid_points(grid_resolution)
+    values, coordinates, products = _grid(grid_resolution)
+    d = grid_resolution - 1
     references = _reference_settings(model.mode)
     coefficients = u_coefficients(model.mode)
     rows = _unit_brackets(
         np.concatenate([_coordinates(references), coordinates]),
-        references + points,
+        _GridPoints(values, references),
         model.mode,
         coefficients,
     )
     # One square design per point: the reference rows, then the point's row.
     # In lexicographic order the flip of point i is point N - 1 - i, and
     # (-x)*(-y) == x*y in floats, so the second half mirrors the first.
-    half = (len(points) + 1) // 2
+    size = len(coordinates)
+    half = (size + 1) // 2
     designs = np.empty((half, len(references) + 1, rows.shape[1]))
     designs[:, :-1] = rows[: len(references)]
     designs[:, -1] = rows[len(references) : len(references) + half]
@@ -448,21 +571,22 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> list[Sw
     largest, smallest = singular_values[:, 0], singular_values[:, -1]
     conditions = np.full(half, math.inf)
     np.divide(largest, smallest, out=conditions, where=smallest > 0)
-    conditions = np.concatenate([conditions, conditions[: len(points) - half][::-1]])
+    conditions = np.concatenate([conditions, conditions[: size - half][::-1]])
 
-    first: dict[tuple[int, int, int, int], PolarizationTriple] = {}
-    for key, pol in zip(keys, points):
-        first.setdefault(key, pol)
-    shares = dict(zip(first, channel_share_numerators(first.items(), model, coefficients)))
-    decimals = {
-        key: tuple(render_decimal(*share) for share in row) for key, row in shares.items()
-    }
-    sweep = [
-        SweepPoint(pol, shares[key], decimals[key], condition)
-        for pol, key, condition in zip(points, keys, conditions.tolist())
-    ]
-    sweep.sort(key=attrgetter("condition_number"))
-    return sweep
+    first, groups = _share_groups(products, d)
+    points = _GridPoints(values)
+    us = map(_u_key, *products[first].T.tolist(), repeat(d))
+    decimals = tuple([] for _ in coefficients)
+    for row in channel_share_numerators(
+        us, model, coefficients, lambda group: points[int(first[group])]
+    ):
+        for column, share in zip(decimals, row):
+            column.append(render_decimal(*share))
+    # No condition number is NaN, so this is the stable sort by value.
+    order = np.argsort(conditions, kind="stable")
+    return Sweep(
+        model, coefficients, values, products, order, groups[order], conditions[order], decimals
+    )
 
 
 # -- file formats ----------------------------------------------------------------

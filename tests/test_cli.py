@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -9,14 +10,17 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import he3cap
 import he3cap.cli as cli
+import he3cap.experiment as experiment
 from he3cap.cross_sections import (
     OAM_CHANNELS,
     CaptureMode,
@@ -24,11 +28,13 @@ from he3cap.cross_sections import (
     ReconciliationReport,
     Discrepancy,
     channel_cross_sections,
+    channel_fraction_rows,
     channels_for,
+    grid_values,
     sections_total,
 )
 from he3cap.exactnum import QuadRational
-from he3cap.experiment import discriminability_sweep
+from he3cap.experiment import MeasurementSetting, design_matrix
 from he3cap.polarization import PolarizationTriple
 
 SETTINGS_CSV = """p,P_L,P_N,exposure,depth
@@ -261,6 +267,64 @@ class TestSweep:
             "channel fractions are undefined\n"
         )
 
+    def test_json_builds_no_object_per_point(self, monkeypatch, tmp_path):
+        # Only the references and the points whose entries are re-decided
+        # exactly near zero become PolarizationTriples; no SweepPoint is built.
+        references = len(experiment._reference_settings(CaptureMode.OAM))
+        counts = {"triples": 0, "points": 0, "redecides": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name, counter in [
+            (PolarizationTriple, "__post_init__", "triples"),
+            (experiment.SweepPoint, "__init__", "points"),
+            (experiment, "closed_form", "redecides"),
+        ]:
+            monkeypatch.setattr(owner, name, counted(counter, getattr(owner, name)))
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--grid", "13", "--mode", "oam", "--json", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert len(json.loads(out.read_text())["points"]) == 13**3
+        assert counts["points"] == 0
+        assert counts["redecides"] > 0
+        assert counts["triples"] <= references + counts["redecides"]
+
+
+def _sweep_reference(
+    grid: int, model: CaptureModel
+) -> list[tuple[PolarizationTriple, tuple[str, ...], float]]:
+    """The sweep computed point by point: (point, share decimals, condition number), sorted.
+
+    The design rows come from design_matrix, with one SVD per point on the
+    reference rows (unpolarized, plus the aligned corner in OAM mode) and
+    the point's row; the shares from channel_fraction_rows and decimal_str.
+    """
+    mode = model.mode
+    references = [PolarizationTriple.of(0, 0, 0)]
+    if mode is CaptureMode.OAM:
+        references.append(PolarizationTriple.of(1, 1, 1))
+    pols = [PolarizationTriple(*point) for point in product(grid_values(grid), repeat=3)]
+
+    def rows_of(points):
+        return design_matrix([MeasurementSetting(pol, 1.0, 1.0) for pol in points], mode)
+
+    reference_rows = rows_of(references)
+    conditions = []
+    for row in rows_of(pols):
+        singular_values = np.linalg.svd(np.vstack([reference_rows, row]), compute_uv=False)
+        largest, smallest = singular_values[0], singular_values[-1]
+        conditions.append(float(largest / smallest) if smallest > 0 else math.inf)
+    decimals = [
+        tuple(share.decimal_str() for share in row) for row in channel_fraction_rows(pols, model)
+    ]
+    order = sorted(range(len(pols)), key=conditions.__getitem__)
+    return [(pols[i], decimals[i], conditions[i]) for i in order]
+
 
 def _sweep_json_dump(argv: list[str], grid: int, model: CaptureModel) -> str:
     """What json.dump(..., indent=2) writes for the sweep payload, and its newline."""
@@ -271,34 +335,65 @@ def _sweep_json_dump(argv: list[str], grid: int, model: CaptureModel) -> str:
         "grid": grid,
         "points": [
             {
-                "p": str(point.pol.p),
-                "P_L": str(point.pol.pl),
-                "P_N": str(point.pol.pn),
-                "fractions": dict(zip(labels, point.decimals)),
-                "condition_number": point.condition_number,
+                "p": str(pol.p),
+                "P_L": str(pol.pl),
+                "P_N": str(pol.pn),
+                "fractions": dict(zip(labels, decimals)),
+                "condition_number": condition,
             }
-            for point in discriminability_sweep(grid, model)
+            for pol, decimals, condition in _sweep_reference(grid, model)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-class TestSweepJson:
-    """sweep --json is written from a template, byte for byte as json.dump writes it."""
+def _sweep_emit(argv: list[str], grid: int, model: CaptureModel, csv: bool) -> str:
+    """What _emit writes for the sweep's rows as a table, or as CSV."""
+    headers = ["p", "P_L", "P_N"] + [f"frac_j{ch.j_final}" for ch in channels_for(model.mode)]
+    rows = [
+        [str(pol.p), str(pol.pl), str(pol.pn), *decimals, f"{condition:.6g}"]
+        for pol, decimals, condition in _sweep_reference(grid, model)
+    ]
+    sink = io.StringIO()
+    args = argparse.Namespace(command_line=argv, json=False, csv=csv)
+    cli._emit(args, sink, headers + ["condition"], rows, {})
+    return sink.getvalue()
 
-    @pytest.mark.parametrize("grid", [2, 3, 9])
-    @pytest.mark.parametrize(
-        ("mode", "k"),
-        [("oam", None), ("oam", "7/3,2,1/2"), ("ordinary", None), ("ordinary", "1,3")],
-        ids=["oam", "oam-k", "ordinary", "ordinary-k"],
-    )
+
+_SWEEP_GRIDS = pytest.mark.parametrize("grid", [2, 3, 9, 13])
+_SWEEP_MODELS = pytest.mark.parametrize(
+    ("mode", "k"),
+    [("oam", None), ("oam", "7/3,2,1/2"), ("ordinary", None), ("ordinary", "1,3")],
+    ids=["oam", "oam-k", "ordinary", "ordinary-k"],
+)
+
+
+def _sweep_argv(grid: int, mode: str, k: str | None) -> tuple[list[str], CaptureModel]:
+    argv = ["sweep", "--grid", str(grid), "--mode", mode]
+    model = CaptureModel.uniform(CaptureMode(mode))
+    if k is not None:
+        argv += ["--k", k]
+        model = CaptureModel(CaptureMode(mode), tuple(Fraction(v) for v in k.split(",")))
+    return argv, model
+
+
+class TestSweepJson:
+    """sweep output matches a reference computed point by point, byte for byte."""
+
+    @_SWEEP_GRIDS
+    @_SWEEP_MODELS
     def test_bytes_are_those_of_json_dump(self, capsys, grid, mode, k):
-        argv = ["sweep", "--grid", str(grid), "--mode", mode, "--json"]
-        model = CaptureModel.uniform(CaptureMode(mode))
-        if k is not None:
-            argv += ["--k", k]
-            model = CaptureModel(CaptureMode(mode), tuple(Fraction(v) for v in k.split(",")))
+        argv, model = _sweep_argv(grid, mode, k)
+        argv.append("--json")
         assert run(capsys, *argv) == (0, _sweep_json_dump(argv, grid, model), "")
+
+    @_SWEEP_GRIDS
+    @_SWEEP_MODELS
+    def test_csv_and_table_bytes_are_those_of_emit(self, capsys, grid, mode, k):
+        argv, model = _sweep_argv(grid, mode, k)
+        assert run(capsys, *argv) == (0, _sweep_emit(argv, grid, model, csv=False), "")
+        argv.append("--csv")
+        assert run(capsys, *argv) == (0, _sweep_emit(argv, grid, model, csv=True), "")
 
     @pytest.mark.parametrize(
         "value",

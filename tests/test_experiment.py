@@ -368,16 +368,28 @@ class TestSweep:
     def test_integer_grid_rows_are_the_design_matrix_rows(self, mode, grid):
         # The grid's float coordinates come from integers, not from its
         # Fractions; grid 13's thirds and sixths are not dyadic.
-        pols, coordinates, keys = experiment._grid_points(grid)
+        values, coordinates, products = experiment._grid(grid)
+        pols = experiment._GridPoints(values)
         settings = cube_settings(grid)
-        assert pols == [setting.pol for setting in settings]
+        assert list(pols) == [setting.pol for setting in settings]
         coefficients = cross_sections.u_coefficients(mode)
         rows = experiment._unit_brackets(coordinates, pols, mode, coefficients)
         assert np.array_equal(rows, design_matrix(settings, mode))
         # Each u-key is the point's u-numerators over the grid's denominator.
+        d = grid - 1
+        keys = [experiment._u_key(*point, d) for point in products.tolist()]
         for pol, key in zip(pols, keys):
             reduced = cross_sections._u_numerators(pol)
-            assert key == tuple(value * ((grid - 1) ** 2 // reduced[0]) for value in reduced)
+            assert key == tuple(value * (d**2 // reduced[0]) for value in reduced)
+        # Points share a group exactly when their u-keys agree, and groups
+        # are numbered in order of their first point.
+        first_of = {}
+        for index, key in enumerate(keys):
+            first_of.setdefault(key, index)
+        number = {key: group for group, key in enumerate(first_of)}
+        first, groups = experiment._share_groups(products, d)
+        assert first.tolist() == list(first_of.values())
+        assert groups.tolist() == [number[key] for key in keys]
 
 
 class TestFileFormats:
