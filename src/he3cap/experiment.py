@@ -18,7 +18,10 @@ closed channel stays exactly closed and no cross-section comes out negative.
 The sweep reads the coefficients once, and its exact channel fractions come
 from the same integers, as integer shares (P + Q*sqrt(2)) / N computed and
 rendered once per distinct u-vector (cross_sections.channel_share_numerators,
-exactnum.render_decimal).
+exactnum.render_decimal).  It holds the grid as columns: integer arrays over
+the grid's denominator, grouped in numpy by u-vector, with each group's
+shares streamed into per-channel columns of decimal strings; a point object
+is built only when a caller reads one.
 
 Counting model: a cell of optical-depth coefficient d (per unit strength)
 transmits a fraction T = exp(-d * sigma_total); captures are Poisson with
