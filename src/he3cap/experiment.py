@@ -28,6 +28,11 @@ transmits a fraction T = exp(-d * sigma_total); captures are Poisson with
 mean exposure * (1 - T), split across channels in proportion to their
 cross-sections, and the fit uses the thin-target linearization
 rate = exposure * d * sum_c D[i, c] * K_c.
+
+The settings and counts readers take csv.reader rows of the file's data
+lines: the header is checked once, columns are found by position once, and
+a row of the wrong length is located by its line.  The settings reader
+parses each distinct polarization text once per file.
 """
 
 from __future__ import annotations
@@ -142,10 +147,9 @@ _ZERO_TOLERANCE = 1e-12
 
 
 def _coordinates(pols: Sequence[PolarizationTriple]) -> np.ndarray:
-    """The points as an (N, 3) float array of (p, P_L, P_N)."""
-    return np.array(
-        [(float(pol.p), float(pol.pl), float(pol.pn)) for pol in pols], dtype=float
-    ).reshape(-1, 3)
+    """The points as an (N, 3) float array of (p, P_L, P_N), as float() gives each."""
+    values = [x.numerator / x.denominator for pol in pols for x in (pol.p, pol.pl, pol.pn)]
+    return np.array(values, dtype=float).reshape(-1, 3)
 
 
 def _unit_brackets(
@@ -320,6 +324,7 @@ def simulate_counts(
 
     Each setting draws from an independent generator derived from
     (seed, setting index), so results do not depend on evaluation order.
+    An empty settings list raises DomainError, as design_matrix does.
     """
     for index, setting in enumerate(settings):
         # Both Poisson means are at most the exposure.
@@ -332,13 +337,10 @@ def simulate_counts(
     strengths = np.array(
         [_float_strength(strength, channel) for strength, channel in zip(model.strengths, channels)]
     )
-    pols = [setting.pol for setting in settings]
-    coefficients = u_coefficients(model.mode)
-    sigma_rows = _unit_brackets(_coordinates(pols), pols, model.mode, coefficients) * strengths
+    sigma_rows = design_matrix(settings, model.mode) * strengths
     records = []
-    for index, (setting, sigma_row) in enumerate(zip(settings, sigma_rows)):
+    for index, (setting, sigmas) in enumerate(zip(settings, sigma_rows.tolist())):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-        sigmas = sigma_row.tolist()
         sigma_total = sum(sigmas)
         if sigma_total == math.inf:
             raise DomainError(f"setting {index}: the total cross-section is too large for a float")
@@ -596,7 +598,7 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> Sweep:
 
 
 class _DataLines:
-    """The lines of a CSV source that hold data: no blanks, no '#' comments.
+    """The CSV rows of a source's data lines: no blanks, no '#' comments.
 
     ``line`` is the file line number of the last line handed out, so a
     parse error can say where it happened.
@@ -605,9 +607,10 @@ class _DataLines:
     def __init__(self, source: TextIO, kind: str) -> None:
         self._source = source
         self._name = getattr(source, "name", f"{kind} file")
+        self._rows = csv.reader(self._lines())
         self.line = 0
 
-    def __iter__(self) -> Iterator[str]:
+    def _lines(self) -> Iterator[str]:
         try:
             for number, text in enumerate(self._source, start=1):
                 self.line = number
@@ -621,18 +624,18 @@ class _DataLines:
             self.line += 1 + exc.object.count(b"\n", 0, exc.start)
             raise DomainError(f"not UTF-8 text ({exc.reason})") from None
 
-    def fieldnames(self, reader: csv.DictReader) -> list[str] | None:
-        """The header row; a line that cannot be read raises DomainError naming it."""
-        return self.located(lambda: reader.fieldnames)
+    def header(self) -> list[str] | None:
+        """The first row, or None without one; an unreadable line raises DomainError naming it."""
+        return self.located(lambda: next(self._rows, None))
 
-    def rows(self, reader: csv.DictReader, parse: Callable[[dict], object]) -> list:
-        """Parse every row; any malformed one raises DomainError naming its line."""
+    def rows(self, width: int, parse: Callable[[list[str]], object]) -> list:
+        """Parse the rows after the header; a malformed one raises DomainError naming its line."""
 
         def parse_all() -> list:
             parsed = []
-            for row in reader:
-                if None in row or None in row.values():
-                    raise DomainError(f"expected {len(reader.fieldnames)} cells")
+            for row in self._rows:
+                if len(row) != width:
+                    raise DomainError(f"expected {width} cells")
                 parsed.append(parse(row))
             return parsed
 
@@ -646,11 +649,11 @@ class _DataLines:
             raise DomainError(f"{self._name}, line {self.line}: {exc}") from None
 
 
-def _cell(row: dict, column: str, parse: Callable[[str], object]):
+def _cell(text: str, column: str, parse: Callable[[str], object]):
     try:
-        return parse(row[column])
+        return parse(text)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"column {column}: malformed value {row[column]!r}") from None
+        raise DomainError(f"column {column}: malformed value {text!r}") from None
     except OverflowError as exc:
         raise DomainError(f"column {column}: {exc}") from None
 
@@ -667,21 +670,33 @@ def read_settings_csv(source: TextIO) -> list[MeasurementSetting]:
     """Read a settings table with header p,P_L,P_N,exposure,depth.
 
     Polarizations are parsed as exact rationals ('-1/2' and '0.25' both
-    work); comment lines starting with '#' are ignored.
+    work), each distinct text once per file; comment lines starting with '#'
+    are ignored.
     """
     lines = _DataLines(source, "settings")
-    reader = csv.DictReader(lines)
-    fields = lines.fieldnames(reader)
+    fields = lines.header()
     if fields is None or tuple(fields) != SETTINGS_HEADER:
         raise DomainError(
             f"settings file must have header {','.join(SETTINGS_HEADER)}, got {fields}"
         )
+    # A parsed Fraction is immutable, so the settings share one per text.
+    fractions: dict[str, Fraction] = {}
 
-    def parse(row: dict) -> MeasurementSetting:
-        pol = PolarizationTriple.of(*(_cell(row, name, parse_rational) for name in ("p", "P_L", "P_N")))
-        return MeasurementSetting(pol, _cell(row, "exposure", float), _cell(row, "depth", float))
+    def polarization(text: str, column: str) -> Fraction:
+        if text not in fractions:
+            fractions[text] = _cell(text, column, parse_rational)
+        return fractions[text]
 
-    return lines.rows(reader, parse)
+    def parse(row: list[str]) -> MeasurementSetting:
+        p, pl, pn, exposure, depth = row
+        pol = PolarizationTriple(
+            polarization(p, "p"), polarization(pl, "P_L"), polarization(pn, "P_N")
+        )
+        return MeasurementSetting(
+            pol, _cell(exposure, "exposure", float), _cell(depth, "depth", float)
+        )
+
+    return lines.rows(len(SETTINGS_HEADER), parse)
 
 
 def write_settings_csv(settings: Sequence[MeasurementSetting], sink: TextIO) -> None:
@@ -752,28 +767,31 @@ def read_counts_csv(
     order in the file does not matter.
     """
     lines = _DataLines(source, "counts")
-    reader = csv.DictReader(lines)
-    fields = tuple(lines.fieldnames(reader) or ())
+    fields = tuple(lines.header() or ())
     if fields[: len(COUNTS_HEADER)] != COUNTS_HEADER:
         raise DomainError(
             f"counts file must start with header {','.join(COUNTS_HEADER)}, got {fields}"
         )
     channel_columns = lines.located(lambda: _channel_columns(fields))
+    # A name that repeats reads its last column.
+    position = {name: index for index, name in enumerate(fields)}
+    setting_at, capture_at, transmitted_at = (position[name] for name in COUNTS_HEADER)
+    channels_at = [(position[name], name) for name in channel_columns]
 
-    def parse(row: dict) -> CountRecord:
-        setting_id = _cell(row, "setting_id", int)
+    def parse(row: list[str]) -> CountRecord:
+        setting_id = _cell(row[setting_at], "setting_id", int)
         if not 0 <= setting_id < len(settings):
             raise DomainError(f"setting_id {setting_id} has no matching setting")
         channel_counts = (
-            tuple(_cell(row, name, _count) for name in channel_columns)
-            if channel_columns
+            tuple(_cell(row[index], name, _count) for index, name in channels_at)
+            if channels_at
             else None
         )
         return CountRecord(
             settings[setting_id],
-            _cell(row, "capture", _count),
-            _cell(row, "transmitted", _count),
+            _cell(row[capture_at], "capture", _count),
+            _cell(row[transmitted_at], "transmitted", _count),
             channel_counts,
         )
 
-    return lines.rows(reader, parse)
+    return lines.rows(len(fields), parse)

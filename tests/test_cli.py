@@ -44,6 +44,14 @@ SETTINGS_CSV = """p,P_L,P_N,exposure,depth
 1,-1,1,100000,0.01
 """
 
+# The settings example of the README.
+README_SETTINGS_CSV = """p,P_L,P_N,exposure,depth
+0,0,0,1000000,0.001
+1,1,1,1000000,0.001
+1,-1,1,1000000,0.001
+-1/2,1/2,-1/2,1000000,0.001
+"""
+
 
 def _as_bytes(data: str | bytes) -> bytes:
     return data if isinstance(data, bytes) else data.encode()
@@ -444,6 +452,63 @@ class TestSimulateAndFit:
             capsys, "simulate", "--settings", str(settings_file), "--mode", "oam", "--seed", "7"
         )
         assert first == second
+
+    # The counts of the README's example, `--mode oam --k 1,2,1/2 --seed 7`,
+    # as they were first written: any change to a setting's random stream,
+    # or to the order of its draws, changes them.
+    @pytest.mark.parametrize(
+        ("flags", "counts"),
+        [
+            (
+                [],
+                "setting_id,capture,transmitted\r\n"
+                "0,1325,996690\r\n1,499,998642\r\n2,2375,997734\r\n3,1524,997172\r\n",
+            ),
+            (
+                ["--channel-resolved"],
+                "setting_id,capture,transmitted,capture_j0,capture_j1,capture_j2\r\n"
+                "0,1325,996690,87,1040,198\r\n1,499,998642,0,0,499\r\n"
+                "2,2375,997734,314,1982,79\r\n3,1524,997172,140,1222,162\r\n",
+            ),
+        ],
+        ids=["summed", "channel-resolved"],
+    )
+    def test_simulated_counts_are_pinned(self, capsys, tmp_path, flags, counts):
+        assert README_SETTINGS_CSV in README.read_text(encoding="utf-8")
+        settings_path = tmp_path / "settings.csv"
+        settings_path.write_text(README_SETTINGS_CSV)
+        code, out, err = run(
+            capsys, "simulate", "--settings", str(settings_path),
+            "--mode", "oam", "--k", "1,2,1/2", "--seed", "7", *flags,
+        )  # fmt: skip
+        assert (code, err) == (0, "")
+        comment, table = out.split("\n", 1)
+        assert comment.startswith("# he3cap simulate") and comment.endswith("| seed=7")
+        assert table == counts
+
+    def test_a_setting_draws_from_its_own_stream(self, capsys, tmp_path):
+        records = []
+        for changed in ("1,-1,1", "1/2,0,-1"):
+            settings_path = tmp_path / "settings.csv"
+            settings_path.write_text(README_SETTINGS_CSV.replace("1,-1,1,", f"{changed},"))
+            code, out, _ = run(
+                capsys, "simulate", "--settings", str(settings_path),
+                "--mode", "oam", "--k", "1,2,1/2", "--seed", "7", "--channel-resolved",
+            )  # fmt: skip
+            assert code == 0
+            records.append(out.splitlines()[2:])
+        before, after = records
+        assert before[2] != after[2]
+        assert before[:2] + before[3:] == after[:2] + after[3:]
+
+    def test_settings_file_without_rows_is_domain_error(self, capsys, tmp_path):
+        settings_path = tmp_path / "settings.csv"
+        settings_path.write_text("# no settings yet\np,P_L,P_N,exposure,depth\n")
+        code, out, err = run(
+            capsys, "simulate", "--settings", str(settings_path), "--mode", "oam", "--seed", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: at least one measurement setting is required\n"
 
     def test_fit_roundtrip(self, capsys, settings_file, tmp_path):
         counts_path = tmp_path / "counts.csv"

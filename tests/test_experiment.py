@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 from fractions import Fraction
@@ -16,7 +17,7 @@ from he3cap.cross_sections import (
     grid_values,
 )
 from he3cap.errors import DegenerateDesignError, DomainError
-from he3cap.exactnum import QuadRational
+from he3cap.exactnum import QuadRational, parse_rational
 from he3cap.experiment import (
     CountRecord,
     MeasurementSetting,
@@ -98,8 +99,11 @@ class TestDesignMatrix:
         assert row == pytest.approx([0.0, 1.0], abs=0)
 
     def test_empty_settings_rejected(self):
-        with pytest.raises(DomainError):
+        message = "at least one measurement setting is required"
+        with pytest.raises(DomainError, match=message):
             design_matrix([], CaptureMode.OAM)
+        with pytest.raises(DomainError, match=message):
+            simulate_counts([], CaptureModel.uniform(CaptureMode.OAM), 1)
 
     # Grid 13 is not dyadic, so its polarization products are inexact in floats.
     @pytest.mark.parametrize("resolution", [7, 9, 13])
@@ -437,3 +441,135 @@ class TestFileFormats:
         text = "setting_id,capture,transmitted\n7,1,1\n"
         with pytest.raises(DomainError):
             read_counts_csv(io.StringIO(text), [setting(0, 0, 0)])
+
+    def test_each_distinct_polarization_text_is_parsed_once(self, tmp_path, monkeypatch):
+        # The 5^3 calibration file: 375 polarization cells, 5 distinct texts.
+        settings = cube_settings(5, exposure=6.5e7, depth=1e-4)
+        path = tmp_path / "settings.csv"
+        with path.open("w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(experiment.SETTINGS_HEADER)
+            for s in settings:
+                writer.writerow([s.pol.p, s.pol.pl, s.pol.pn, repr(s.exposure), repr(s.depth)])
+        parsed = []
+
+        def counting_parse_rational(text):
+            parsed.append(text)
+            return parse_rational(text)
+
+        def no_dict_reader(*args, **kwargs):
+            raise AssertionError("the readers build no csv.DictReader")
+
+        monkeypatch.setattr(experiment, "parse_rational", counting_parse_rational)
+        monkeypatch.setattr(csv, "DictReader", no_dict_reader)
+        with path.open(encoding="utf-8") as handle:
+            assert read_settings_csv(handle) == settings
+        assert sorted(parsed) == ["-1", "-1/2", "0", "1", "1/2"]
+
+
+SETTINGS_HEADER = "p,P_L,P_N,exposure,depth"
+COUNTS_HEADER = "setting_id,capture,transmitted"
+
+# Each file read as the CSV reader of the standard library reads it: the
+# settings or records it gives, or its error message, where {path} is the
+# file's path.
+SETTINGS_FILE_CASES = {
+    "crlf": (
+        SETTINGS_HEADER + "\r\n0,0,0,1e6,0.001\r\n-1/2,1/2,1,1e6,0.001\r\n",
+        [("0", "0", "0", 1e6, 0.001), ("-1/2", "1/2", "1", 1e6, 0.001)],
+    ),
+    "comments-and-blanks": (
+        "# title\n" + SETTINGS_HEADER
+        + "\n\n0,0,0,1e6,0.001\n   \n# between\n  # indented\n1,1,1,1e6,0.001\n",
+        [("0", "0", "0", 1e6, 0.001), ("1", "1", "1", 1e6, 0.001)],
+    ),
+    "quoted-comma": (
+        SETTINGS_HEADER + '\n0,0,0,1e6,0.001\n"0,5",0,0,1e6,0.001\n',
+        "{path}, line 3: column p: malformed value '0,5'",
+    ),
+    "quoted-newline": (
+        SETTINGS_HEADER + '\n0,0,0,1e6,0.001\n"1\n/2",0,0,1e6,0.001\n',
+        "{path}, line 4: column p: malformed value '1\\n/2'",
+    ),
+    "quoted-trailing-newline": (
+        SETTINGS_HEADER + '\n"1/2\n",0,0,1e6,0.001\n',
+        [("1/2", "0", "0", 1e6, 0.001)],
+    ),
+    "empty-cells": (SETTINGS_HEADER + "\n,,,,\n", "{path}, line 2: column p: malformed value ''"),
+    "whitespace": (
+        SETTINGS_HEADER + "\n 1/2 , -1/3 ,0, 1e6 ,0.001\n",
+        [("1/2", "-1/3", "0", 1e6, 0.001)],
+    ),
+    "one-cell-too-many": (
+        SETTINGS_HEADER + "\n0,0,0,1e6,0.001\n0,0,0,1e6,0.001,7\n",
+        "{path}, line 3: expected 5 cells",
+    ),
+    "one-cell-too-few": (
+        SETTINGS_HEADER + "\n0,0,0,1e6,0.001\n0,0,0,1e6\n",
+        "{path}, line 3: expected 5 cells",
+    ),
+}
+
+# Records as (setting index, capture, transmitted, channel counts), read
+# against four distinct settings.
+COUNTS_FILE_CASES = {
+    "crlf": (COUNTS_HEADER + "\r\n0,5,10\r\n3,6,11\r\n", [(0, 5, 10, None), (3, 6, 11, None)]),
+    "comments-and-blanks": (
+        "# title\n" + COUNTS_HEADER + "\n\n0,5,10\n   \n# between\n  # indented\n3,6,11\n",
+        [(0, 5, 10, None), (3, 6, 11, None)],
+    ),
+    "quoted-comma": (
+        COUNTS_HEADER + '\n0,5,10\n1,"1,000",10\n',
+        "{path}, line 3: column capture: malformed value '1,000'",
+    ),
+    "quoted-newline": (
+        COUNTS_HEADER + '\n0,5,10\n1,"1\n2",10\n',
+        "{path}, line 4: column capture: malformed value '1\\n2'",
+    ),
+    "empty-cells": (
+        COUNTS_HEADER + "\n,,\n",
+        "{path}, line 2: column setting_id: malformed value ''",
+    ),
+    "whitespace": (COUNTS_HEADER + "\n 1 , 2 , 3 \n", [(1, 2, 3, None)]),
+    "one-cell-too-many": (
+        COUNTS_HEADER + "\n0,5,10\n1,5,10,0\n",
+        "{path}, line 3: expected 3 cells",
+    ),
+    "one-cell-too-few": (COUNTS_HEADER + "\n0,5,10\n1,5\n", "{path}, line 3: expected 3 cells"),
+    "bad-channel-cell": (
+        COUNTS_HEADER + ",capture_j0,capture_j1,capture_j2\n0,3,1,1,1,1\n1,3,1,1,x,1\n",
+        "{path}, line 3: column capture_j1: malformed value 'x'",
+    ),
+    "repeated-column": (COUNTS_HEADER + ",setting_id\n0,5,10,2\n", [(2, 5, 10, None)]),
+}
+
+
+def _read_file(tmp_path, text, read):
+    """read() on the text written as a file and opened as the command line opens it."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode())
+    try:
+        with path.open(encoding="utf-8") as handle:
+            return read(handle)
+    except DomainError as exc:
+        return str(exc).replace(str(path), "{path}")
+
+
+class TestFileRows:
+    @pytest.mark.parametrize("name", SETTINGS_FILE_CASES)
+    def test_settings_file(self, tmp_path, name):
+        text, expected = SETTINGS_FILE_CASES[name]
+        got = _read_file(tmp_path, text, read_settings_csv)
+        if isinstance(expected, list):
+            expected = [setting(*row) for row in expected]
+        assert got == expected
+
+    @pytest.mark.parametrize("name", COUNTS_FILE_CASES)
+    def test_counts_file(self, tmp_path, name):
+        settings = [setting(0, 0, 0), setting(1, 1, 1), setting("-1/2", "1/2", "-1/2"),
+                    setting(1, -1, 1)]  # fmt: skip
+        text, expected = COUNTS_FILE_CASES[name]
+        got = _read_file(tmp_path, text, lambda handle: read_counts_csv(handle, settings))
+        if isinstance(expected, list):
+            expected = [CountRecord(settings[index], *counts) for index, *counts in expected]
+        assert got == expected
