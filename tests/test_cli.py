@@ -478,9 +478,14 @@ class TestSimulateAndFit:
         settings_path = tmp_path / "settings.csv"
         settings_path.write_text(README_SETTINGS_CSV)
         code, out, err = run(
-            capsys, "simulate", "--settings", str(settings_path),
-            "--mode", "oam", "--k", "1,2,1/2", "--seed", "7", *flags,
-        )  # fmt: skip
+            capsys,
+            "simulate",
+            "--settings", str(settings_path),
+            "--mode", "oam",
+            "--k", "1,2,1/2",
+            "--seed", "7",
+            *flags,
+        )
         assert (code, err) == (0, "")
         comment, table = out.split("\n", 1)
         assert comment.startswith("# he3cap simulate") and comment.endswith("| seed=7")
@@ -492,9 +497,14 @@ class TestSimulateAndFit:
             settings_path = tmp_path / "settings.csv"
             settings_path.write_text(README_SETTINGS_CSV.replace("1,-1,1,", f"{changed},"))
             code, out, _ = run(
-                capsys, "simulate", "--settings", str(settings_path),
-                "--mode", "oam", "--k", "1,2,1/2", "--seed", "7", "--channel-resolved",
-            )  # fmt: skip
+                capsys,
+                "simulate",
+                "--settings", str(settings_path),
+                "--mode", "oam",
+                "--k", "1,2,1/2",
+                "--seed", "7",
+                "--channel-resolved",
+            )
             assert code == 0
             records.append(out.splitlines()[2:])
         before, after = records

@@ -465,6 +465,8 @@ class TestFileFormats:
         with path.open(encoding="utf-8") as handle:
             assert read_settings_csv(handle) == settings
         assert sorted(parsed) == ["-1", "-1/2", "0", "1", "1/2"]
+        counts = io.StringIO("setting_id,capture,transmitted\n124,1,2\n")
+        assert read_counts_csv(counts, settings) == [CountRecord(settings[124], 1, 2)]
 
 
 SETTINGS_HEADER = "p,P_L,P_N,exposure,depth"
@@ -566,8 +568,12 @@ class TestFileRows:
 
     @pytest.mark.parametrize("name", COUNTS_FILE_CASES)
     def test_counts_file(self, tmp_path, name):
-        settings = [setting(0, 0, 0), setting(1, 1, 1), setting("-1/2", "1/2", "-1/2"),
-                    setting(1, -1, 1)]  # fmt: skip
+        settings = [
+            setting(0, 0, 0),
+            setting(1, 1, 1),
+            setting("-1/2", "1/2", "-1/2"),
+            setting(1, -1, 1),
+        ]
         text, expected = COUNTS_FILE_CASES[name]
         got = _read_file(tmp_path, text, lambda handle: read_counts_csv(handle, settings))
         if isinstance(expected, list):
