@@ -7,8 +7,12 @@ Two independent evaluation routes are kept side by side on purpose:
   u = (1 - p*P_L, 1 - p*P_N, 1 - P_L*P_N) with Q(sqrt(2)) coefficients,
   kept as integer numerators over one denominator and evaluated as one
   integer dot product per part (including the interference coefficients
-  6 - 4*sqrt(2) and 3 + 4*sqrt(2) of the j''=1 channel).  The table uses no
-  coupling coefficient, so it stays independent of the oracle;
+  6 - 4*sqrt(2) and 3 + 4*sqrt(2) of the j''=1 channel); a row whose
+  sqrt(2) part is zero, every row but 1-, takes only the rational one.  The
+  u-vector comes from the point's integer form, which a PolarizationTriple
+  computes on its first read and keeps, so the channels evaluated at one
+  triple share it.  The table uses no coupling coefficient, so it stays
+  independent of the oracle;
 * an oracle that performs the full substate sum over occupation
   probabilities and Clebsch-Gordan amplitudes.  The neutron's orbital
   momentum L and spin couple to j', which couples with the helium-3 spin to
@@ -18,17 +22,21 @@ Two independent evaluation routes are kept side by side on purpose:
   table per channel, from one builder for both modes, holds the exact |A|^2
   of every substate tuple as integer numerators over one denominator, built
   from the coupling coefficients alone; it does not depend on the
-  polarizations, so it is built once per channel.  Each oracle call
-  contracts that table with the point's occupations (1 +- P)/2, written as
-  integer numerators over a common denominator.  Neither part reads the
+  polarizations, so it is built once per channel.  Each oracle call lays
+  that table out as dense numerator vectors over (m_N, m_L, mu) and
+  contracts them with the point's occupation vector: the products
+  p(m_N) p(m_L) p(mu) of the occupations (1 +- P)/2, written as integer
+  numerators over a common denominator.  Neither part reads the
   closed-form table, and every point asked for is summed afresh.
 
 compare_with_oracle, which oracle-check runs, streams its grid in integers:
-every coordinate is i/d with d = resolution - 1, the occupations are formed
-once per point and each channel's table is summed against them.  A
-closed-form part n/m equals the oracle's part r/s exactly when n*s == r*m,
-so equality is decided by cross-multiplication, and the oracle's exact
-value is built only where a closed form and the oracle disagree.
+every coordinate is i/d with d = resolution - 1.  The dense tables are laid
+out once per call, the occupation vector is formed once per point and
+shared by every channel, and each channel's vectors are contracted with it
+by the helper oracle() uses.  A closed-form part n/m equals the oracle's
+part r/s exactly when n*s == r*m, so equality is decided by
+cross-multiplication, and the oracle's exact value is built only where a
+closed form and the oracle disagree.
 
 Everything is exact rational / Q(sqrt(2)) arithmetic, so agreement between
 the two routes is decided by field equality, never by tolerance.  The
@@ -193,32 +201,40 @@ def _require_mode(model: CaptureModel, mode: CaptureMode, operation: str) -> Non
 
 def _integer_point(pol: PolarizationTriple) -> tuple[int, int, int, int]:
     """(d, x, y, z) with d the lcm of the three denominators, p = x/d, P_L = y/d, P_N = z/d."""
-    p, pl, pn = pol.p, pol.pl, pol.pn
-    dp, dl, dn = p.denominator, pl.denominator, pn.denominator
-    d = math.lcm(dp, dl, dn)
-    return d, p.numerator * (d // dp), pl.numerator * (d // dl), pn.numerator * (d // dn)
+    return pol.integer_form[0]
 
 
 def _u_numerators(pol: PolarizationTriple) -> tuple[int, int, int, int]:
     """(d^2, d^2 - xy, d^2 - xz, d^2 - yz), which is d^2 * (1, u1, u2, u3) in integers."""
-    d, x, y, z = _integer_point(pol)
-    dd = d * d
-    return dd, dd - x * y, dd - x * z, dd - y * z
+    return pol.integer_form[1]
 
 
 _ZERO = Fraction(0)
 
 
+# The closed-form rows with an all-zero sqrt(2) part replaced by None, so
+# that only the 1- channel pays for a second dot product.
+_ROWS = {
+    channel: (denominator, rational, root if any(root) else None)
+    for channel, (denominator, rational, root) in _BRACKETS.items()
+}
+
+
 def _tabulated(
     channel: Channel, pol: PolarizationTriple, model: CaptureModel
 ) -> ChannelCrossSection:
-    """K * (R + S*sqrt(2)) . U / (D * d^2): the channel's row (D, R, S), U from _u_numerators."""
+    """K * (R + S*sqrt(2)) . U / (D * d^2): the channel's row (D, R, S), U = pol.integer_form[1]."""
     strength = model.strength(channel)  # rejects channels of the other mode
-    denominator, rational, root = _BRACKETS[channel]
-    u = _u_numerators(pol)
-    k, scale = strength.numerator, strength.denominator * denominator * u[0]
-    a, b = k * sum(map(mul, rational, u)), k * sum(map(mul, root, u))
-    # A zero part, such as the sqrt(2) part of every channel but 1-, needs no gcd.
+    denominator, rational, root = _ROWS[channel]
+    u0, u1, u2, u3 = pol.integer_form[1]
+    k, scale = strength.numerator, strength.denominator * denominator * u0
+    r0, r1, r2, r3 = rational
+    a = k * (r0 * u0 + r1 * u1 + r2 * u2 + r3 * u3)
+    b = 0
+    if root:
+        s0, s1, s2, s3 = root
+        b = k * (s0 * u0 + s1 * u1 + s2 * u2 + s3 * u3)
+    # A zero part needs no gcd.
     value = QuadRational(Fraction(a, scale) if a else _ZERO, Fraction(b, scale) if b else _ZERO)
     return ChannelCrossSection(channel, value)
 
@@ -230,7 +246,8 @@ def ordinary_closed_form(
 
     Triplet: K/4 * (3 + p*P_N); singlet: K/4 * (1 - p*P_N).  P_L is ignored.
     """
-    _require_mode(model, CaptureMode.ORDINARY, "ordinary_closed_form")
+    if model.mode is not CaptureMode.ORDINARY:
+        _require_mode(model, CaptureMode.ORDINARY, "ordinary_closed_form")
     return _tabulated(channel, pol, model)
 
 
@@ -242,7 +259,8 @@ def oam_closed_form(
     The brackets depend on the polarizations only through their pairwise
     products p*P_L, p*P_N, and P_L*P_N.
     """
-    _require_mode(model, CaptureMode.OAM, "oam_closed_form")
+    if model.mode is not CaptureMode.OAM:
+        _require_mode(model, CaptureMode.OAM, "oam_closed_form")
     return _tabulated(channel, pol, model)
 
 
@@ -306,36 +324,80 @@ def _substates(channel: Channel) -> _Substates:
     return lcm, tuple((key, int(a * lcm), int(b * lcm)) for key, a, b in entries)
 
 
+# The m_L an L = 0 or an L = 1 neutron can occupy, keyed by 2L, as twice-values.
+# The preparation device puts every L = 1 neutron into m_L = +1 or -1 along
+# its wavevector, never 0.
+_OCCUPIED_M_L = {0: (0,), 2: (-2, 2)}
+
+# A dense substate table: 2L, the table's denominator D, then the numerators
+# of the rational and sqrt(2) parts of |A|^2 at each substate the neutron can
+# occupy, in _occupations' order; the sqrt(2) part is None where it is all zero.
+_Dense = tuple[int, int, tuple[int, ...], tuple[int, ...] | None]
+
+
+def _dense_tables(channels: Sequence[Channel]) -> list[_Dense]:
+    """Each channel's _substates table as dense numerator vectors over (m_N, m_L, mu).
+
+    The order is that of _occupations: m_N outermost and mu innermost, each
+    ascending, with m_L over _OCCUPIED_M_L.  An entry at m_L = 0 of an L = 1
+    neutron has weight zero at every point and is left out.
+    """
+    tables = []
+    for channel in channels:
+        orbital = _orbital_momentum(channel).twice
+        denominator, entries = _substates(channel)
+        layout = {key: i for i, key in enumerate(product((-1, 1), _OCCUPIED_M_L[orbital], (-1, 1)))}
+        rational, root = [0] * len(layout), [0] * len(layout)
+        for key, a, b in entries:
+            index = layout.get(key)
+            if index is not None:
+                rational[index], root[index] = a, b
+        tables.append((orbital, denominator, tuple(rational), tuple(root) if any(root) else None))
+    return tables
+
+
+def _occupations(orbital: int, d: int, x: int, y: int, z: int) -> tuple[int, ...]:
+    """Numerators over (2d)^3 of p(m_N) p(m_L) p(mu) at p = x/d, P_L = y/d, P_N = z/d.
+
+    A spin-1/2 with polarization P occupies m = -+1/2 with probability
+    (1 -+ P)/2, so the nuclear and spin occupations are (d -+ z)/2d and
+    (d -+ x)/2d.  An L = 1 neutron (orbital = 2) occupies m_L = -+1 with
+    (d -+ y)/2d, an L = 0 neutron m_L = 0 with 2d/2d.  The order is that of
+    _dense_tables.
+    """
+    s_down, s_up = d - x, d + x
+    if orbital:
+        o_down, o_up = d - y, d + y
+        a, b, c, e = (d - z) * o_down, (d - z) * o_up, (d + z) * o_down, (d + z) * o_up
+        return (
+            a * s_down, a * s_up, b * s_down, b * s_up,
+            c * s_down, c * s_up, e * s_down, e * s_up,
+        )  # fmt: skip
+    a, b = 2 * d * (d - z), 2 * d * (d + z)
+    return a * s_down, a * s_up, b * s_down, b * s_up
+
+
 def _substate_sums(
-    channels: Sequence[Channel], d: int, x: int, y: int, z: int
+    tables: Sequence[_Dense], d: int, x: int, y: int, z: int
 ) -> list[tuple[int, int, int]]:
-    """One (rational, root, scale) per channel: its substate sum at K = 1, in integers.
+    """One (rational, root, scale) per dense table: its substate sum at K = 1, in integers.
 
     The point is p = x/d, P_L = y/d, P_N = z/d for any common denominator
     d > 0, and the channel's sum over its substate table of
-    p(m_N) p(m_L) p(mu) |A|^2 is (rational + root*sqrt(2)) / scale.  A
-    spin-1/2 with polarization P occupies m = +-1/2 with probability
-    (1 +- P)/2, so the spin and nuclear occupations are (d +- x)/2d and
-    (d +- z)/2d.  The preparation device puts every L = 1 neutron into
-    m_L = +1 or -1 along its wavevector, never 0, so its orbital occupations
-    are (d +- y)/2d and m_L = 0 gets 0; an L = 0 neutron has m_L = 0, that
-    is 2d/2d.  The occupation numerators are formed once for all the
-    channels, and each table is summed over them afresh, rational and
-    sqrt(2) parts apart; scale is the table's denominator times (2d)^3.
+    p(m_N) p(m_L) p(mu) |A|^2 is (rational + root*sqrt(2)) / scale, with
+    scale the table's denominator times (2d)^3.  The occupation vector is
+    formed once for every run of tables with one orbital momentum, which is
+    every table of a mode, and each table is contracted with it afresh,
+    rational and sqrt(2) parts apart.
     """
-    nuclear, spin = {1: d + z, -1: d - z}, {1: d + x, -1: d - x}
-    s_wave, p_wave = {0: 2 * d}, {2: d + y, 0: 0, -2: d - y}
     cube = 8 * d**3
     sums = []
-    for channel in channels:
-        orbital = p_wave if _orbital_momentum(channel).twice else s_wave
-        denominator, entries = _substates(channel)
-        rational = root = 0
-        for (m_nuclear, m_orbital, m_spin), a, b in entries:
-            weight = nuclear[m_nuclear] * orbital[m_orbital] * spin[m_spin]
-            rational += weight * a
-            root += weight * b
-        sums.append((rational, root, denominator * cube))
+    last = weights = None
+    for orbital, denominator, rational, root in tables:
+        if orbital != last:
+            weights, last = _occupations(orbital, d, x, y, z), orbital
+        contracted = sum(map(mul, root, weights)) if root else 0
+        sums.append((sum(map(mul, rational, weights)), contracted, denominator * cube))
     return sums
 
 
@@ -344,11 +406,11 @@ def _contract(
 ) -> ChannelCrossSection:
     """K * sum over the channel's substate table of p(m_N) p(m_L) p(mu) |A|^2.
 
-    The sum comes from _substate_sums at the lcm d of the point's three
-    denominators, and one Fraction per part divides out K and its scale.
+    The sum comes from _substate_sums at the point's integer form, and one
+    Fraction per part divides out K and its scale.
     """
     strength = model.strength(channel)  # rejects channels of the other mode
-    ((rational, root, scale),) = _substate_sums((channel,), *_integer_point(pol))
+    ((rational, root, scale),) = _substate_sums(_dense_tables((channel,)), *_integer_point(pol))
     k, scale = strength.numerator, strength.denominator * scale
     value = QuadRational(Fraction(k * rational, scale), Fraction(k * root, scale))
     return ChannelCrossSection(channel, value)
@@ -642,12 +704,15 @@ def compare_with_oracle(mode: CaptureMode, resolution: int = 5) -> Reconciliatio
 
     Ordinary mode scans (p, P_N) with P_L = 0; OAM mode scans the full cube.
     The grid is walked in integers over d = resolution - 1, each coordinate
-    i/d beside its Fraction, one point at a time.  At every point the closed
-    form of each channel is evaluated at K = 1 and the oracle's substate sums
-    are formed afresh in integers; a closed-form part n/m equals the oracle's
-    part r/s exactly when n*s == r*m.  Only a mismatch builds the oracle's
-    QuadRational, and any disagreement is reported point by point, never
-    absorbed.
+    i/d beside its Fraction, one point at a time.  Each channel's substate
+    table is laid out as dense vectors once per call, from _substates as it
+    stands at the call.  At every point the closed form of each channel is
+    evaluated at K = 1, with the u-vector of the point's one integer form,
+    and the oracle's substate sums are formed afresh in integers from one
+    occupation vector that every channel shares; a closed-form part n/m
+    equals the oracle's part r/s exactly when n*s == r*m.  Only a mismatch
+    builds the oracle's QuadRational, and any disagreement is reported point
+    by point, never absorbed.
     """
     values = grid_values(resolution)  # rejects a resolution below 2
     d = resolution - 1
@@ -659,12 +724,13 @@ def compare_with_oracle(mode: CaptureMode, resolution: int = 5) -> Reconciliatio
         points = product(axis, repeat=3)
     model = CaptureModel.uniform(mode)
     channels = channels_for(mode)
+    tables = _dense_tables(channels)
     discrepancies = []
     points_checked = 0
     for (p, x), (pl, y), (pn, z) in points:
         pol = PolarizationTriple(p, pl, pn)
         points_checked += 1
-        sums = _substate_sums(channels, d, x, y, z)
+        sums = _substate_sums(tables, d, x, y, z)
         for channel, (rational, root, scale) in zip(channels, sums):
             closed_value = closed_form(channel, pol, model).value
             a, b = closed_value.a, closed_value.b

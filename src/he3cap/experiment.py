@@ -600,8 +600,10 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> Sweep:
 class _DataLines:
     """The CSV rows of a source's data lines: no blanks, no '#' comments.
 
-    ``line`` is the file line number of the last line handed out, so a
-    parse error can say where it happened.
+    A blank or '#' line is skipped only where it would start a record;
+    inside a quoted cell that spans lines it is part of the cell.  ``line``
+    is the file line number of the last line handed out, so a parse error
+    can say where it happened.
     """
 
     def __init__(self, source: TextIO, kind: str) -> None:
@@ -609,12 +611,15 @@ class _DataLines:
         self._name = getattr(source, "name", f"{kind} file")
         self._rows = csv.reader(self._lines())
         self.line = 0
+        # True until the reader takes a line of a record it has not returned.
+        self._record_done = True
 
     def _lines(self) -> Iterator[str]:
         try:
             for number, text in enumerate(self._source, start=1):
                 self.line = number
-                if text.strip() and not text.lstrip().startswith("#"):
+                if not self._record_done or (text.strip() and not text.lstrip().startswith("#")):
+                    self._record_done = False
                     yield text
         except UnicodeDecodeError as exc:
             # A text file decodes a block at a time, and reads the next block
@@ -624,9 +629,15 @@ class _DataLines:
             self.line += 1 + exc.object.count(b"\n", 0, exc.start)
             raise DomainError(f"not UTF-8 text ({exc.reason})") from None
 
-    def header(self) -> list[str] | None:
-        """The first row, or None without one; an unreadable line raises DomainError naming it."""
-        return self.located(lambda: next(self._rows, None))
+    def header(self, check: Callable[[list[str] | None], object]):
+        """check(first row), the row None without one; a DomainError it raises names the line."""
+
+        def read() -> object:
+            row = next(self._rows, None)
+            self._record_done = True
+            return check(row)
+
+        return self.located(read)
 
     def rows(self, width: int, parse: Callable[[list[str]], object]) -> list:
         """Parse the rows after the header; a malformed one raises DomainError naming its line."""
@@ -634,6 +645,7 @@ class _DataLines:
         def parse_all() -> list:
             parsed = []
             for row in self._rows:
+                self._record_done = True
                 if len(row) != width:
                     raise DomainError(f"expected {width} cells")
                 parsed.append(parse(row))
@@ -646,7 +658,12 @@ class _DataLines:
         try:
             return read()
         except (DomainError, csv.Error) as exc:
-            raise DomainError(f"{self._name}, line {self.line}: {exc}") from None
+            raise self.error(exc) from None
+
+    def error(self, problem: object) -> DomainError:
+        """A DomainError that names the file and the current line, if one has been read."""
+        where = f"{self._name}, line {self.line}" if self.line else self._name
+        return DomainError(f"{where}: {problem}")
 
 
 def _cell(text: str, column: str, parse: Callable[[str], object]):
@@ -674,11 +691,14 @@ def read_settings_csv(source: TextIO) -> list[MeasurementSetting]:
     are ignored.
     """
     lines = _DataLines(source, "settings")
-    fields = lines.header()
-    if fields is None or tuple(fields) != SETTINGS_HEADER:
-        raise DomainError(
-            f"settings file must have header {','.join(SETTINGS_HEADER)}, got {fields}"
-        )
+
+    def check(fields: list[str] | None) -> None:
+        if fields is None or tuple(fields) != SETTINGS_HEADER:
+            raise DomainError(
+                f"settings file must have header {','.join(SETTINGS_HEADER)}, got {fields}"
+            )
+
+    lines.header(check)
     # A parsed Fraction is immutable, so the settings share one per text.
     fractions: dict[str, Fraction] = {}
 
@@ -696,7 +716,10 @@ def read_settings_csv(source: TextIO) -> list[MeasurementSetting]:
             pol, _cell(exposure, "exposure", float), _cell(depth, "depth", float)
         )
 
-    return lines.rows(len(SETTINGS_HEADER), parse)
+    settings = lines.rows(len(SETTINGS_HEADER), parse)
+    if not settings:
+        raise lines.error("at least one measurement setting is required")
+    return settings
 
 
 def write_settings_csv(settings: Sequence[MeasurementSetting], sink: TextIO) -> None:
@@ -767,12 +790,16 @@ def read_counts_csv(
     order in the file does not matter.
     """
     lines = _DataLines(source, "counts")
-    fields = tuple(lines.header() or ())
-    if fields[: len(COUNTS_HEADER)] != COUNTS_HEADER:
-        raise DomainError(
-            f"counts file must start with header {','.join(COUNTS_HEADER)}, got {fields}"
-        )
-    channel_columns = lines.located(lambda: _channel_columns(fields))
+
+    def check(row: list[str] | None) -> tuple[tuple[str, ...], list[str]]:
+        fields = tuple(row or ())
+        if fields[: len(COUNTS_HEADER)] != COUNTS_HEADER:
+            raise DomainError(
+                f"counts file must start with header {','.join(COUNTS_HEADER)}, got {fields}"
+            )
+        return fields, _channel_columns(fields)
+
+    fields, channel_columns = lines.header(check)
     # A name that repeats reads its last column.
     position = {name: index for index, name in enumerate(fields)}
     setting_at, capture_at, transmitted_at = (position[name] for name in COUNTS_HEADER)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import he3cap
 import he3cap.cli as cli
+import he3cap.cross_sections as cross_sections
 import he3cap.experiment as experiment
 from he3cap.cross_sections import (
     OAM_CHANNELS,
@@ -51,6 +52,107 @@ README_SETTINGS_CSV = """p,P_L,P_N,exposure,depth
 1,-1,1,1000000,0.001
 -1/2,1/2,-1/2,1000000,0.001
 """
+
+
+# The bytes `oracle-check --grid 9 --json` writes.  How the adjudication
+# streams its grid may change; what it reports may not.
+ORACLE_CHECK_GRID9_JSON = """\
+{
+  "metadata": {
+    "command": "he3cap oracle-check --grid 9 --json",
+    "version": "0.1.0"
+  },
+  "agreement": true,
+  "reports": [
+    {
+      "mode": "ordinary",
+      "resolution": 9,
+      "points_checked": 81,
+      "agreement": true,
+      "discrepancies": []
+    },
+    {
+      "mode": "oam",
+      "resolution": 9,
+      "points_checked": 729,
+      "agreement": true,
+      "discrepancies": [],
+      "j2_extrema": {
+        "maximum": {
+          "value_exact": "1",
+          "value_decimal": "1",
+          "points": [
+            {
+              "p": "-1",
+              "P_L": "-1",
+              "P_N": "-1"
+            },
+            {
+              "p": "1",
+              "P_L": "1",
+              "P_N": "1"
+            }
+          ]
+        },
+        "minimum": {
+          "value_exact": "1/6",
+          "value_decimal": "0.166666666666667",
+          "points": [
+            {
+              "p": "-1",
+              "P_L": "1",
+              "P_N": "-1"
+            },
+            {
+              "p": "1",
+              "P_L": "-1",
+              "P_N": "1"
+            }
+          ]
+        },
+        "aligned_corner_value": "1",
+        "note": "the j=2 channel attains its maximum K*1 at the fully aligned corners and its minimum K*1/6 where p*P_L = P_L*P_N = -1; it never vanishes"
+      }
+    }
+  ]
+}
+"""
+
+# The bytes `oracle-check --grid 3 --mode oam` writes with the 1- closed form
+# times 11/10: every point but the two where 1- vanishes is a mismatch, and
+# each oracle value is the true one.
+WRONG_J1_GRID3_LISTING = (
+    "mode  points  channels  mismatches  verdict\n"
+    "----  ------  --------  ----------  --------\n"
+    "oam   27      3         25          DISAGREE\n"
+    "note: the j=2 channel attains its maximum K*1 at the fully aligned corners "
+    "and its minimum K*1/6 where p*P_L = P_L*P_N = -1; it never vanishes\n"
+    "mismatch: 1- at (p=-1, P_L=-1, P_N=0): closed=33/80 oracle=3/8\n"
+    "mismatch: 1- at (p=-1, P_L=-1, P_N=1): closed=33/40 oracle=3/4\n"
+    "mismatch: 1- at (p=-1, P_L=0, P_N=-1): closed=11/40 + 11/60*sqrt(2) oracle=1/4 + 1/6*sqrt(2)\n"
+    "mismatch: 1- at (p=-1, P_L=0, P_N=0): closed=11/20 oracle=1/2\n"
+    "mismatch: 1- at (p=-1, P_L=0, P_N=1): closed=33/40 - 11/60*sqrt(2) oracle=3/4 - 1/6*sqrt(2)\n"
+    "mismatch: 1- at (p=-1, P_L=1, P_N=-1): closed=11/20 + 11/30*sqrt(2) oracle=1/2 + 1/3*sqrt(2)\n"
+    "mismatch: 1- at (p=-1, P_L=1, P_N=0): closed=11/16 oracle=5/8\n"
+    "mismatch: 1- at (p=-1, P_L=1, P_N=1): closed=33/40 - 11/30*sqrt(2) oracle=3/4 - 1/3*sqrt(2)\n"
+    "mismatch: 1- at (p=0, P_L=-1, P_N=-1): closed=33/80 - 11/60*sqrt(2) oracle=3/8 - 1/6*sqrt(2)\n"
+    "mismatch: 1- at (p=0, P_L=-1, P_N=0): closed=11/20 oracle=1/2\n"
+    "mismatch: 1- at (p=0, P_L=-1, P_N=1): closed=11/16 + 11/60*sqrt(2) oracle=5/8 + 1/6*sqrt(2)\n"
+    "mismatch: 1- at (p=0, P_L=0, P_N=-1): closed=11/20 oracle=1/2\n"
+    "mismatch: 1- at (p=0, P_L=0, P_N=0): closed=11/20 oracle=1/2\n"
+    "mismatch: 1- at (p=0, P_L=0, P_N=1): closed=11/20 oracle=1/2\n"
+    "mismatch: 1- at (p=0, P_L=1, P_N=-1): closed=11/16 + 11/60*sqrt(2) oracle=5/8 + 1/6*sqrt(2)\n"
+    "mismatch: 1- at (p=0, P_L=1, P_N=0): closed=11/20 oracle=1/2\n"
+    "mismatch: 1- at (p=0, P_L=1, P_N=1): closed=33/80 - 11/60*sqrt(2) oracle=3/8 - 1/6*sqrt(2)\n"
+    "mismatch: 1- at (p=1, P_L=-1, P_N=-1): closed=33/40 - 11/30*sqrt(2) oracle=3/4 - 1/3*sqrt(2)\n"
+    "mismatch: 1- at (p=1, P_L=-1, P_N=0): closed=11/16 oracle=5/8\n"
+    "mismatch: 1- at (p=1, P_L=-1, P_N=1): closed=11/20 + 11/30*sqrt(2) oracle=1/2 + 1/3*sqrt(2)\n"
+    "mismatch: 1- at (p=1, P_L=0, P_N=-1): closed=33/40 - 11/60*sqrt(2) oracle=3/4 - 1/6*sqrt(2)\n"
+    "mismatch: 1- at (p=1, P_L=0, P_N=0): closed=11/20 oracle=1/2\n"
+    "mismatch: 1- at (p=1, P_L=0, P_N=1): closed=11/40 + 11/60*sqrt(2) oracle=1/4 + 1/6*sqrt(2)\n"
+    "mismatch: 1- at (p=1, P_L=1, P_N=-1): closed=33/40 oracle=3/4\n"
+    "mismatch: 1- at (p=1, P_L=1, P_N=0): closed=33/80 oracle=3/8\n"
+)
 
 
 def _as_bytes(data: str | bytes) -> bytes:
@@ -210,6 +312,25 @@ class TestOracleCheck:
         code, out, _ = run(capsys, "oracle-check", "--grid", "2", "--mode", "oam")
         assert code == 3
         assert "mismatch: 2-" in out
+
+    def test_grid9_json_is_pinned(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--grid", "9", "--json")
+        assert (code, err) == (0, "")
+        assert out == ORACLE_CHECK_GRID9_JSON
+
+    def test_mismatch_listing_of_a_wrong_closed_form_is_pinned(self, capsys, monkeypatch):
+        original = cross_sections.oam_closed_form
+
+        def wrong(channel, pol, model):
+            section = original(channel, pol, model)
+            if channel != OAM_CHANNELS[1]:
+                return section
+            return cross_sections.ChannelCrossSection(channel, section.value * Fraction(11, 10))
+
+        monkeypatch.setattr(cross_sections, "oam_closed_form", wrong)
+        code, out, err = run(capsys, "oracle-check", "--grid", "3", "--mode", "oam")
+        assert (code, err) == (3, "")
+        assert out == WRONG_J1_GRID3_LISTING
 
     def test_grid_too_small_is_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle-check", "--grid", "1")
@@ -514,11 +635,82 @@ class TestSimulateAndFit:
     def test_settings_file_without_rows_is_domain_error(self, capsys, tmp_path):
         settings_path = tmp_path / "settings.csv"
         settings_path.write_text("# no settings yet\np,P_L,P_N,exposure,depth\n")
+        counts_path = tmp_path / "counts.csv"
+        counts_path.write_text("setting_id,capture,transmitted\n0,1,1\n")
+        # fit refuses the settings file too, before it reads the counts.
+        for argv in (
+            ["simulate", "--settings", str(settings_path), "--mode", "oam", "--seed", "1"],
+            ["fit", "--settings", str(settings_path), "--counts", str(counts_path),
+             "--mode", "oam"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: {settings_path}, line 2: at least one measurement setting is required\n"
+            )
+
+    @pytest.mark.parametrize(
+        ("settings_text", "counts_text", "message"),
+        [
+            (
+                "a,b\n0,0\n",
+                None,
+                "settings.csv, line 1: settings file must have header "
+                "p,P_L,P_N,exposure,depth, got ['a', 'b']",
+            ),
+            (
+                "# settings\n\np,P_L,P_N,exposure\n0,0,0,1\n",
+                "setting_id,capture,transmitted\n0,1,1\n",
+                "settings.csv, line 3: settings file must have header "
+                "p,P_L,P_N,exposure,depth, got ['p', 'P_L', 'P_N', 'exposure']",
+            ),
+            (
+                SETTINGS_CSV,
+                "# counts\nx,y\n0,1\n",
+                "counts.csv, line 2: counts file must start with header "
+                "setting_id,capture,transmitted, got ('x', 'y')",
+            ),
+            (
+                "",
+                None,
+                "settings.csv: settings file must have header "
+                "p,P_L,P_N,exposure,depth, got None",
+            ),
+            (
+                SETTINGS_CSV,
+                "# only a comment\n",
+                "counts.csv, line 1: counts file must start with header "
+                "setting_id,capture,transmitted, got ()",
+            ),
+        ],
+        ids=["settings-simulate", "settings-fit", "counts", "empty-settings", "no-counts-header"],
+    )
+    def test_header_errors_name_the_file_and_line(
+        self, capsys, tmp_path, settings_text, counts_text, message
+    ):
+        settings_path = tmp_path / "settings.csv"
+        settings_path.write_text(settings_text)
+        if counts_text is None:
+            argv = ["simulate", "--settings", str(settings_path), "--mode", "oam", "--seed", "1"]
+        else:
+            counts_path = tmp_path / "counts.csv"
+            counts_path.write_text(counts_text)
+            argv = ["fit", "--settings", str(settings_path), "--counts", str(counts_path),
+                    "--mode", "oam"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {tmp_path}/{message}\n"
+
+    def test_a_comment_inside_a_quoted_cell_belongs_to_the_cell(self, capsys, tmp_path):
+        # The comment line is the second line of the p cell, so the cell
+        # is not a rational, and the error names the line the record ends on.
+        settings_path = tmp_path / "settings.csv"
+        settings_path.write_text('p,P_L,P_N,exposure,depth\n"1/2\n# x\n",0,0,1000,0.001\n')
         code, out, err = run(
             capsys, "simulate", "--settings", str(settings_path), "--mode", "oam", "--seed", "1"
         )
         assert (code, out) == (1, "")
-        assert err == "error: at least one measurement setting is required\n"
+        assert err == f"error: {settings_path}, line 4: column p: malformed value '1/2\\n# x\\n'\n"
 
     def test_fit_roundtrip(self, capsys, settings_file, tmp_path):
         counts_path = tmp_path / "counts.csv"

@@ -415,6 +415,19 @@ class TestFileFormats:
         text = "# a comment\np,P_L,P_N,exposure,depth\n0,0,0,1,1\n"
         assert len(read_settings_csv(io.StringIO(text))) == 1
 
+    def test_blank_and_comment_lines_inside_a_quoted_cell_are_kept(self):
+        # Only a line that starts a record is skipped as blank or comment.
+        text = 'a,b\n"x\n\n# y\n",1\n\n# z\n2,3\n'
+        lines = experiment._DataLines(io.StringIO(text), "test")
+        assert lines.header(lambda row: row) == ["a", "b"]
+        assert lines.rows(2, tuple) == [("x\n\n# y\n", "1"), ("2", "3")]
+        assert lines.line == 8
+
+    def test_a_row_after_a_quoted_cell_is_located(self):
+        text = 'p,P_L,P_N,exposure,depth\n"1/2",0,0,1,1\n"\n1/3\n",0,0,1,1\n\n0,0,x,1,1\n'
+        with pytest.raises(DomainError, match=r"^settings file, line 7: column P_N: "):
+            read_settings_csv(io.StringIO(text))
+
     def test_counts_roundtrip(self):
         settings = cube_settings(2, exposure=1e4, depth=0.01)
         records = simulate_counts(settings, CaptureModel.uniform(CaptureMode.OAM), 8)
