@@ -170,6 +170,13 @@ class ChannelCrossSection:
     channel: Channel
     value: QuadRational
 
+    def __init__(self, channel: Channel, value: QuadRational) -> None:
+        # The dataclass keeps this __init__, which stores the fields as its
+        # own would, without the two object.__setattr__ calls.
+        fields = self.__dict__
+        fields["channel"] = channel
+        fields["value"] = value
+
 
 # Spins involved in the capture, as twice-values.
 _NEUTRON_SPIN = HalfInt(1)

@@ -256,13 +256,14 @@ class QuadRational:
     a: Fraction
     b: Fraction
 
-    def __post_init__(self) -> None:
-        # Parts that already are Fractions, as every arithmetic result is,
-        # are kept rather than copied.
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
+    def __init__(self, a: Fraction, b: Fraction) -> None:
+        # The dataclass keeps this __init__.  Parts that already are
+        # Fractions, as every arithmetic result is, are kept rather than
+        # copied, and both are stored as the frozen dataclass's own __init__
+        # would store them, without its two object.__setattr__ calls.
+        fields = self.__dict__
+        fields["a"] = a if type(a) is Fraction else Fraction(a)
+        fields["b"] = b if type(b) is Fraction else Fraction(b)
 
     @classmethod
     def zero(cls) -> QuadRational:

@@ -629,13 +629,13 @@ class _DataLines:
             self.line += 1 + exc.object.count(b"\n", 0, exc.start)
             raise DomainError(f"not UTF-8 text ({exc.reason})") from None
 
-    def header(self, check: Callable[[list[str] | None], object]):
-        """check(first row), the row None without one; a DomainError it raises names the line."""
+    def header(self) -> list[str] | None:
+        """The first row, or None without one; an unreadable line raises DomainError naming it."""
 
-        def read() -> object:
+        def read() -> list[str] | None:
             row = next(self._rows, None)
             self._record_done = True
-            return check(row)
+            return row
 
         return self.located(read)
 
@@ -691,14 +691,11 @@ def read_settings_csv(source: TextIO) -> list[MeasurementSetting]:
     are ignored.
     """
     lines = _DataLines(source, "settings")
-
-    def check(fields: list[str] | None) -> None:
-        if fields is None or tuple(fields) != SETTINGS_HEADER:
-            raise DomainError(
-                f"settings file must have header {','.join(SETTINGS_HEADER)}, got {fields}"
-            )
-
-    lines.header(check)
+    fields = lines.header()
+    if fields is None or tuple(fields) != SETTINGS_HEADER:
+        raise lines.error(
+            f"settings file must have header {','.join(SETTINGS_HEADER)}, got {fields}"
+        )
     # A parsed Fraction is immutable, so the settings share one per text.
     fractions: dict[str, Fraction] = {}
 
@@ -790,16 +787,12 @@ def read_counts_csv(
     order in the file does not matter.
     """
     lines = _DataLines(source, "counts")
-
-    def check(row: list[str] | None) -> tuple[tuple[str, ...], list[str]]:
-        fields = tuple(row or ())
-        if fields[: len(COUNTS_HEADER)] != COUNTS_HEADER:
-            raise DomainError(
-                f"counts file must start with header {','.join(COUNTS_HEADER)}, got {fields}"
-            )
-        return fields, _channel_columns(fields)
-
-    fields, channel_columns = lines.header(check)
+    fields = tuple(lines.header() or ())
+    if fields[: len(COUNTS_HEADER)] != COUNTS_HEADER:
+        raise lines.error(
+            f"counts file must start with header {','.join(COUNTS_HEADER)}, got {fields}"
+        )
+    channel_columns = lines.located(lambda: _channel_columns(fields))
     # A name that repeats reads its last column.
     position = {name: index for index, name in enumerate(fields)}
     setting_at, capture_at, transmitted_at = (position[name] for name in COUNTS_HEADER)

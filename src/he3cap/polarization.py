@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import DomainError
 from .exactnum import RationalLike, as_fraction
@@ -25,6 +24,25 @@ def _checked_polarization(value: RationalLike, name: str) -> Fraction:
     if abs(fraction.numerator) > fraction.denominator:
         raise DomainError(f"{name} must lie in [-1, 1], got {fraction}")
     return fraction
+
+
+class _kept:
+    """A read-only attribute computed on its first read and kept in the instance's __dict__.
+
+    The stored value shadows this descriptor, so a later read is a plain
+    attribute lookup.  functools.cached_property does the same, but before
+    Python 3.12 it takes a lock on every first read, which costs more than
+    computing the integer form.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -65,7 +83,7 @@ class PolarizationTriple:
         if pn is not self.pn:
             object.__setattr__(self, "pn", pn)
 
-    @cached_property
+    @_kept
     def integer_form(self) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
         """((d, x, y, z), (d^2, d^2 - xy, d^2 - xz, d^2 - yz)) in integers.
 

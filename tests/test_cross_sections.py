@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import os
 import pickle
@@ -76,6 +78,15 @@ class TestModelTypes:
         assert model.strength(J1) == 2
         with pytest.raises(ModeMismatchError):
             model.strength(TRIPLET)
+
+    def test_channel_cross_section_is_a_frozen_dataclass(self):
+        section = cross_sections.ChannelCrossSection(J1, rational("1/2"))
+        assert section == cross_sections.ChannelCrossSection(value=rational("1/2"), channel=J1)
+        assert hash(section) == hash(copy.copy(section))
+        assert repr(section).startswith("ChannelCrossSection(channel=Channel(")
+        assert pickle.loads(pickle.dumps(section)) == section
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            section.value = rational(1)
 
     def test_a_fresh_channel_finds_its_strength_and_rows(self):
         # Lookups hash a channel by its fields, so an equal channel built

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -110,6 +113,20 @@ class TestExactSqrt:
 
 
 class TestQuadRational:
+    def test_construction_converts_parts_and_stays_a_frozen_dataclass(self):
+        x = QuadRational(1, "-1/2")
+        assert (x.a, x.b) == (Fraction(1), Fraction(-1, 2))
+        assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert QuadRational(b=Fraction(-1, 2), a=Fraction(1)) == x
+        assert repr(x) == "QuadRational(a=Fraction(1, 1), b=Fraction(-1, 2))"
+        part = Fraction(2, 3)
+        assert QuadRational(part, part).a is part
+        assert dataclasses.replace(x, b=3) == QuadRational(1, 3)
+        assert [field.name for field in dataclasses.fields(QuadRational)] == ["a", "b"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.a = Fraction(0)
+        assert pickle.loads(pickle.dumps(x)) == x and hash(copy.copy(x)) == hash(x)
+
     def test_structural_equality_is_field_equality(self):
         assert QuadRational(THIRD, Fraction(0)) == Fraction(1, 3)
         assert QuadRational(Fraction(1), Fraction(1)) != QuadRational(Fraction(1), Fraction(0))

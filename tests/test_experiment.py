@@ -419,7 +419,7 @@ class TestFileFormats:
         # Only a line that starts a record is skipped as blank or comment.
         text = 'a,b\n"x\n\n# y\n",1\n\n# z\n2,3\n'
         lines = experiment._DataLines(io.StringIO(text), "test")
-        assert lines.header(lambda row: row) == ["a", "b"]
+        assert lines.header() == ["a", "b"]
         assert lines.rows(2, tuple) == [("x\n\n# y\n", "1"), ("2", "3")]
         assert lines.line == 8
 
