@@ -649,6 +649,16 @@ class TestSimulateAndFit:
                 f"error: {settings_path}, line 2: at least one measurement setting is required\n"
             )
 
+    def test_counts_file_without_rows_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.csv").write_text(README_SETTINGS_CSV)
+        (tmp_path / "c.csv").write_text("setting_id,capture,transmitted\n")
+        code, out, err = run(
+            capsys, "fit", "--settings", "s.csv", "--counts", "c.csv", "--mode", "oam"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: c.csv, line 1: at least one count record is required\n"
+
     @pytest.mark.parametrize(
         ("settings_text", "counts_text", "message"),
         [

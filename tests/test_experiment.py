@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from he3cap import cross_sections, experiment
 from he3cap.cross_sections import (
@@ -46,6 +48,31 @@ def cube_settings(resolution=5, exposure=1.0, depth=1.0):
         for pl in values
         for pn in values
     ]
+
+
+def _numpy_stream_state(seed: int, key: int) -> tuple[int, int]:
+    """The PCG64 (state, inc) that numpy seeds from (seed, key)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+    state = rng.bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+def _reference_simulation(settings, model, seed):
+    """simulate_counts as first written: a generator built per setting from (seed, index)."""
+    sigma_rows = design_matrix(settings, model.mode) * [float(k) for k in model.strengths]
+    records = []
+    for index, (s, sigmas) in enumerate(zip(settings, sigma_rows.tolist())):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        sigma_total = sum(sigmas)
+        transmission = math.exp(-s.depth * sigma_total)
+        captures = int(rng.poisson(s.exposure * (1.0 - transmission)))
+        split = (0,) * len(sigmas)
+        if captures > 0 and sigma_total > 0:
+            shares = [sigma / sigma_total for sigma in sigmas]
+            split = tuple(int(n) for n in rng.multinomial(captures, shares))
+        transmitted = int(rng.poisson(s.exposure * transmission))
+        records.append(CountRecord(s, captures, transmitted, split))
+    return records
 
 
 def _patch_wrong_j1_closed_form(monkeypatch):
@@ -279,6 +306,59 @@ class TestSimulation:
         # Singlet is closed at p = P_N = 1; all captures are triplet.
         assert record.channel_counts[0] == 0
         assert record.channel_counts[1] == record.capture_counts
+
+    @given(
+        seed=st.integers(1, 6).flatmap(lambda words: st.integers(0, 2 ** (32 * words) - 1)),
+        keys=st.lists(st.integers(0, 300), min_size=1, max_size=8),
+    )
+    @example(seed=0, keys=[0, 300])
+    @example(seed=2**32 - 1, keys=[1])
+    @example(seed=2**32, keys=[2])
+    @example(seed=2**64, keys=[299])
+    @example(seed=2**128 + 1, keys=[0, 7, 124])
+    def test_stream_states_are_numpys(self, seed, keys):
+        states = experiment._stream_states(seed, np.array(keys, dtype=np.uint64))
+        assert states == [_numpy_stream_state(seed, key) for key in keys]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**128 + 1])
+    def test_a_spawn_key_is_one_32_bit_word(self, seed):
+        # numpy splits a spawn key of 2**32 or more into two words, which the
+        # derivation does not restate, so a run holds fewer than 2**32 settings.
+        last = 2**32 - 1
+        keys = np.array([last], dtype=np.uint64)
+        assert experiment._stream_states(seed, keys) == [_numpy_stream_state(seed, last)]
+        with pytest.raises(DomainError, match="one 32-bit word"):
+            experiment._stream_states(seed, keys + 1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3, 2**128 + 1])
+    @pytest.mark.parametrize(
+        "model",
+        [CaptureModel.oam(1, 2, "1/2"), CaptureModel.ordinary(1, 3)],
+        ids=["oam", "ordinary"],
+    )
+    def test_simulated_counts_match_a_generator_per_setting(self, seed, model):
+        # Each record holds the summed and the channel-resolved counts.
+        settings = [
+            setting(0, 0, 0, 1e6, 1e-3),
+            setting(1, 1, 1, 1e6, 1e-3),
+            setting(1, -1, 1, 1e6, 1e-3),
+            setting("-1/2", "1/2", "-1/2", 1e6, 1e-3),
+        ] + cube_settings(5, exposure=6.5e7, depth=1e-4)
+        expected = _reference_simulation(settings, model, seed)
+        assert simulate_counts(settings, model, seed) == expected
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_leading_settings_simulate_as_they_do_alone(self, seed):
+        settings = cube_settings(3, exposure=1e5, depth=0.01)
+        model = CaptureModel.oam(1, 2, "1/2")
+        records = simulate_counts(settings, model, seed)
+        for count in (1, 2, 13, 26):
+            assert simulate_counts(settings[:count], model, seed) == records[:count]
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_is_domain_error(self, seed):
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            simulate_counts([setting(0, 0, 0)], CaptureModel.uniform(CaptureMode.OAM), seed)
 
 
 class TestSweep:
