@@ -420,12 +420,13 @@ def simulate_counts(
     sigma_rows = design_matrix(settings, model.mode) * strengths
     states = _stream_states(seed, np.arange(len(settings), dtype=np.uint64))
     # Seeded so that it draws no OS entropy; each setting sets its state.
-    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     records = []
     for index, (setting, sigmas, (state, inc)) in enumerate(
         zip(settings, sigma_rows.tolist(), states)
     ):
-        rng.bit_generator.state = {
+        bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state, "inc": inc},
             "has_uint32": 0,
@@ -437,7 +438,8 @@ def simulate_counts(
         transmission = math.exp(-setting.depth * sigma_total)
         captures = int(rng.poisson(setting.exposure * (1.0 - transmission)))
         if captures > 0 and sigma_total > 0:
-            split = tuple(int(n) for n in rng.multinomial(captures, [s / sigma_total for s in sigmas]))
+            shares = [sigma / sigma_total for sigma in sigmas]
+            split = tuple(rng.multinomial(captures, shares).tolist())
         else:
             split = (0,) * len(channels)
         transmitted = int(rng.poisson(setting.exposure * transmission))
