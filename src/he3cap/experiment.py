@@ -29,8 +29,9 @@ mean exposure * (1 - T), split across channels in proportion to their
 cross-sections, and the fit uses the thin-target linearization
 rate = exposure * d * sum_c D[i, c] * K_c.  Setting i of a simulation draws
 from the PCG64 stream that numpy seeds from SeedSequence(entropy=seed,
-spawn_key=(i,)); the streams of all settings are derived in one pass over
-numpy arrays, restating that derivation, and drawn through one Generator.
+spawn_key=(i,)); the streams of all settings are derived in one pass
+(seeding.pcg64_states, which restates numpy's derivation) and drawn through
+one Generator.
 
 The settings and counts readers take csv.reader rows of the file's data
 lines: the header is checked once, columns are found by position once, and
@@ -66,6 +67,7 @@ from .cross_sections import (
 from .errors import DegenerateDesignError, DomainError
 from .exactnum import QuadRational, parse_rational, render_decimal
 from .polarization import PolarizationTriple
+from .seeding import pcg64_states
 
 SETTINGS_HEADER = ("p", "P_L", "P_N", "exposure", "depth")
 COUNTS_HEADER = ("setting_id", "capture", "transmitted")
@@ -321,75 +323,6 @@ def _float_strength(strength: Fraction, channel: Channel) -> float:
         ) from None
 
 
-# numpy's SeedSequence and PCG64 seeding, restated so that the streams of
-# every setting derive in one pass; NEP 19 keeps both fixed across versions.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hashmix(value, hash_const: int, multiplier: int = _HASH_MULT_A):
-    """SeedSequence's hash of a word, or of a uint64 array of words; also the next constant."""
-    hash_next = hash_const * multiplier & _MASK32
-    value = (value ^ hash_const) * hash_next & _MASK32
-    return value ^ (value >> 16), hash_next
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _stream_states(seed: int, keys: np.ndarray) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) that SeedSequence(entropy=seed, spawn_key=(key,)) seeds, per key.
-
-    keys is a uint64 array of spawn keys.  Each must be one 32-bit word, as
-    numpy splits a larger key into two, so a run holds fewer than 2**32
-    settings.  The seed's words, least significant first and zero-padded to
-    the pool of four, are mixed once; every key is then mixed into its own
-    copy of that pool, and each pool hashed into PCG64's 128-bit seed and
-    sequence, as numpy arrays of 32-bit words in uint64.
-    """
-    if keys.size and int(keys.max()) > _MASK32:
-        raise DomainError("a spawn key must fit in one 32-bit word")
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    hash_const = _HASH_INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool.append(hashed)
-    for source in range(_POOL_SIZE):
-        for target in range(_POOL_SIZE):
-            if source != target:
-                hashed, hash_const = _hashmix(pool[source], hash_const)
-                pool[target] = _mix(pool[target], hashed)
-    pools = [np.full(keys.shape, word, dtype=np.uint64) for word in pool]
-    for word in [*words[_POOL_SIZE:], keys]:
-        for target in range(_POOL_SIZE):
-            hashed, hash_const = _hashmix(word, hash_const)
-            pools[target] = _mix(pools[target], hashed)
-    # generate_state(4, uint64): eight words hashed from the pool in turn.
-    hash_const = _HASH_INIT_B
-    output = []
-    for index in range(2 * _POOL_SIZE):
-        hashed, hash_const = _hashmix(pools[index % _POOL_SIZE], hash_const, _HASH_MULT_B)
-        output.append(hashed)
-    # Little-endian word pairs: the seed's high and low halves, then the sequence's.
-    halves = [(output[i] | output[i + 1] << 32).tolist() for i in range(0, len(output), 2)]
-    states = []
-    for seed_high, seed_low, seq_high, seq_low in zip(*halves):
-        # PCG64's srandom: from state 0 and this inc, step, add the seed, step.
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        state = (inc + (seed_high << 64 | seed_low)) * _PCG64_MULTIPLIER + inc
-        states.append((state & _MASK128, inc))
-    return states
-
-
 def simulate_counts(
     settings: Sequence[MeasurementSetting], model: CaptureModel, seed: int
 ) -> list[CountRecord]:
@@ -399,8 +332,8 @@ def simulate_counts(
     SeedSequence(entropy=seed, spawn_key=(i,)), so results do not depend on
     evaluation order and the first k settings of a longer list simulate as
     those k settings alone.  The streams of all settings are derived at once
-    (_stream_states) and drawn through one reused Generator.  The seed is a
-    nonnegative integer; an empty settings list raises DomainError, as
+    (seeding.pcg64_states) and drawn through one reused Generator.  The seed
+    is a nonnegative integer; an empty settings list raises DomainError, as
     design_matrix does.
     """
     seed = operator.index(seed)
@@ -418,7 +351,7 @@ def simulate_counts(
         [_float_strength(strength, channel) for strength, channel in zip(model.strengths, channels)]
     )
     sigma_rows = design_matrix(settings, model.mode) * strengths
-    states = _stream_states(seed, np.arange(len(settings), dtype=np.uint64))
+    states = pcg64_states(seed, np.arange(len(settings), dtype=np.uint64))
     # Seeded so that it draws no OS entropy; each setting sets its state.
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)

@@ -5,8 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from he3cap import cross_sections, experiment
 from he3cap.cross_sections import (
@@ -48,13 +46,6 @@ def cube_settings(resolution=5, exposure=1.0, depth=1.0):
         for pl in values
         for pn in values
     ]
-
-
-def _numpy_stream_state(seed: int, key: int) -> tuple[int, int]:
-    """The PCG64 (state, inc) that numpy seeds from (seed, key)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
-    state = rng.bit_generator.state["state"]
-    return state["state"], state["inc"]
 
 
 def _reference_simulation(settings, model, seed):
@@ -306,29 +297,6 @@ class TestSimulation:
         # Singlet is closed at p = P_N = 1; all captures are triplet.
         assert record.channel_counts[0] == 0
         assert record.channel_counts[1] == record.capture_counts
-
-    @given(
-        seed=st.integers(1, 6).flatmap(lambda words: st.integers(0, 2 ** (32 * words) - 1)),
-        keys=st.lists(st.integers(0, 300), min_size=1, max_size=8),
-    )
-    @example(seed=0, keys=[0, 300])
-    @example(seed=2**32 - 1, keys=[1])
-    @example(seed=2**32, keys=[2])
-    @example(seed=2**64, keys=[299])
-    @example(seed=2**128 + 1, keys=[0, 7, 124])
-    def test_stream_states_are_numpys(self, seed, keys):
-        states = experiment._stream_states(seed, np.array(keys, dtype=np.uint64))
-        assert states == [_numpy_stream_state(seed, key) for key in keys]
-
-    @pytest.mark.parametrize("seed", [0, 7, 2**128 + 1])
-    def test_a_spawn_key_is_one_32_bit_word(self, seed):
-        # numpy splits a spawn key of 2**32 or more into two words, which the
-        # derivation does not restate, so a run holds fewer than 2**32 settings.
-        last = 2**32 - 1
-        keys = np.array([last], dtype=np.uint64)
-        assert experiment._stream_states(seed, keys) == [_numpy_stream_state(seed, last)]
-        with pytest.raises(DomainError, match="one 32-bit word"):
-            experiment._stream_states(seed, keys + 1)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3, 2**128 + 1])
     @pytest.mark.parametrize(
