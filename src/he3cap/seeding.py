@@ -1,12 +1,12 @@
 """numpy's SeedSequence-to-PCG64 seeding, restated for many spawn keys at once.
 
 np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
-costs about 20 microseconds a generator, most of it in building the
-SeedSequence.  pcg64_states derives the PCG64 (state, inc) of every key in
-one pass instead: the seed's pool is mixed once, and each key is mixed into
-its own copy of it over numpy uint64 arrays holding 32-bit words.  NEP 19
-keeps SeedSequence and PCG64's seeding fixed across numpy versions, and the
-tests check the states against numpy's own.
+costs about 20 microseconds a generator on a 2-core x86_64 VM, most of it in
+building the SeedSequence.  pcg64_states derives the PCG64 (state, inc) of
+every key in one pass instead: the seed's pool is mixed once, and each key is
+mixed into its own copy of it over numpy uint64 arrays holding 32-bit words.
+NEP 19 keeps SeedSequence and PCG64's seeding fixed across numpy versions,
+and the tests check the states against numpy's own.
 """
 
 from __future__ import annotations
