@@ -42,10 +42,6 @@ class HalfInt:
             )
         return cls(int(as_fraction * 2))
 
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
     def __add__(self, other: HalfInt) -> HalfInt:
         return HalfInt(self.twice + other.twice)
 
@@ -54,9 +50,6 @@ class HalfInt:
 
     def __neg__(self) -> HalfInt:
         return HalfInt(-self.twice)
-
-    def __abs__(self) -> HalfInt:
-        return HalfInt(abs(self.twice))
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

@@ -211,11 +211,6 @@ def _integer_point(pol: PolarizationTriple) -> tuple[int, int, int, int]:
     return pol.integer_form[0]
 
 
-def _u_numerators(pol: PolarizationTriple) -> tuple[int, int, int, int]:
-    """(d^2, d^2 - xy, d^2 - xz, d^2 - yz), which is d^2 * (1, u1, u2, u3) in integers."""
-    return pol.integer_form[1]
-
-
 _ZERO = Fraction(0)
 
 
@@ -516,12 +511,6 @@ def u_coefficients(mode: CaptureMode) -> list[_Row]:
 Share = tuple[int, int, int]
 
 
-def share_value(share: Share) -> QuadRational:
-    """The QuadRational (P + Q*sqrt(2)) / N of a (P, Q, N) share."""
-    p, q, n = share
-    return QuadRational(Fraction(p, n), Fraction(q, n))
-
-
 def channel_share_numerators(
     us: Iterable[tuple[int, int, int, int]],
     model: CaptureModel,
@@ -534,7 +523,7 @@ def channel_share_numerators(
     rows of u_coefficients(model.mode), and point(i) gives the i-th point,
     called only to name a point where the total vanishes.  U is
     d^2 * (1, u1, u2, u3) for any common denominator d of the point's
-    coordinates, such as _u_numerators(pol) gives; the shares do not depend
+    coordinates, such as pol.integer_form[1]; the shares do not depend
     on which.  Channel c is
     (n_c/m_c) * (R_c + S_c*sqrt(2)) . U / (D_c * d^2), with (D_c, R_c, S_c)
     its row and K_c = n_c/m_c.  One integer weight per channel brings every
@@ -577,25 +566,15 @@ def channel_share_numerators(
         yield tuple(row)
 
 
-def channel_fraction_rows(
-    pols: Sequence[PolarizationTriple], model: CaptureModel
-) -> list[tuple[QuadRational, ...]]:
-    """Exact share of each channel in the total, as QuadRationals, one row per point.
-
-    The integers come from channel_share_numerators, with the closed forms
-    in force read once through u_coefficients.
-    """
-    rows = channel_share_numerators(
-        map(_u_numerators, pols), model, u_coefficients(model.mode), pols.__getitem__
-    )
-    return [tuple(share_value(share) for share in row) for row in rows]
-
-
 def channel_fractions(
     pol: PolarizationTriple, model: CaptureModel
 ) -> tuple[tuple[Channel, QuadRational], ...]:
-    """Exact share of each channel in the total cross-section."""
-    return tuple(zip(model.channels, channel_fraction_rows([pol], model)[0]))
+    """Exact share of each channel in the total cross-section: each closed form over their sum."""
+    sections = channel_cross_sections(pol, model)
+    total = sections_total(sections)
+    if total.is_zero:
+        raise DomainError(f"total cross-section is zero at {pol}; channel fractions are undefined")
+    return tuple((section.channel, section.value / total) for section in sections)
 
 
 # -- reconciliation of closed forms against the oracle -------------------------

@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Union
 
 from .errors import UnsupportedRadicandError
@@ -213,9 +214,6 @@ class SqrtRational:
             "a coupling product left the supported field"
         )
 
-    def __float__(self) -> float:
-        return self.sign * math.sqrt(self.radicand)
-
     def decimal_str(self, significant_digits: int = 15) -> str:
         """Correctly rounded decimal rendering at the given precision."""
         root = exact_sqrt(self.radicand)
@@ -245,6 +243,7 @@ def sqrt_product(x: SqrtRational, y: SqrtRational) -> QuadRational:
     return (x * y).to_quad()
 
 
+@total_ordering
 @dataclass(frozen=True)
 class QuadRational:
     """An element a + b*sqrt(2) of the real quadratic field Q(sqrt(2)).
@@ -308,9 +307,6 @@ class QuadRational:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other: QuadRational | RationalLike) -> QuadRational:
-        return (-self) + other
-
     def __mul__(self, other: QuadRational | RationalLike) -> QuadRational:
         o = self._coerce(other)
         if o is None:
@@ -333,12 +329,6 @@ class QuadRational:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other: QuadRational | RationalLike) -> QuadRational:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     # -- order ----------------------------------------------------------------
 
     def sign(self) -> int:
@@ -351,24 +341,6 @@ class QuadRational:
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other: QuadRational | RationalLike) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other: QuadRational | RationalLike) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other: QuadRational | RationalLike) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other) if isinstance(other, (QuadRational, int, Fraction)) else None

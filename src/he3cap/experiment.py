@@ -20,8 +20,8 @@ from the same integers, as integer shares (P + Q*sqrt(2)) / N computed and
 rendered once per distinct u-vector (cross_sections.channel_share_numerators,
 exactnum.render_decimal).  It holds the grid as columns: integer arrays over
 the grid's denominator, grouped in numpy by u-vector, with each group's
-shares streamed into per-channel columns of decimal strings; a point object
-is built only when a caller reads one.
+shares streamed into per-channel columns of decimal strings.  It keeps no
+object per point.
 
 Counting model: a cell of optical-depth coefficient d (per unit strength)
 transmits a fraction T = exp(-d * sigma_total); captures are Poisson with
@@ -56,16 +56,14 @@ from .cross_sections import (
     CaptureMode,
     CaptureModel,
     Channel,
-    Share,
     channel_share_numerators,
     channels_for,
     closed_form,
     grid_values,
-    share_value,
     u_coefficients,
 )
 from .errors import DegenerateDesignError, DomainError
-from .exactnum import QuadRational, parse_rational, render_decimal
+from .exactnum import parse_rational, render_decimal
 from .polarization import PolarizationTriple
 from .seeding import pcg64_states
 
@@ -128,9 +126,6 @@ class FitResult:
     strengths: tuple[float, ...]
     covariance: np.ndarray
     residual_norm: float
-
-    def strength(self, channel: Channel) -> float:
-        return self.strengths[self.channels.index(channel)]
 
     def standard_errors(self) -> tuple[float, ...]:
         return tuple(math.sqrt(max(v, 0.0)) for v in np.diag(self.covariance))
@@ -383,27 +378,6 @@ def simulate_counts(
 # -- discriminability sweep ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point of a sweep.
-
-    shares holds each channel's share of the total as integers (P, Q, N),
-    meaning (P + Q*sqrt(2)) / N with N > 0, and decimals the same shares
-    rendered to 15 significant digits.  Points with equal u-numerators, such
-    as a point and its flip, hold equal shares and decimals.
-    """
-
-    pol: PolarizationTriple
-    shares: tuple[Share, ...]
-    decimals: tuple[str, ...]
-    condition_number: float
-
-    @property
-    def fractions(self) -> tuple[QuadRational, ...]:
-        """The shares as exact QuadRationals, built when read."""
-        return tuple(share_value(share) for share in self.shares)
-
-
 def _reference_settings(mode: CaptureMode) -> list[PolarizationTriple]:
     # One fewer reference than channels, so one candidate completes a square
     # design: the unpolarized point, plus the fully aligned corner for OAM.
@@ -483,40 +457,28 @@ def _u_key(xy: int, xz: int, yz: int, d: int) -> tuple[int, int, int, int]:
     return dd, dd - xy, dd - xz, dd - yz
 
 
-class Sweep(Sequence[SweepPoint]):
+class Sweep:
     """A discriminability sweep: the grid's points sorted by condition number, as columns.
 
     Row r is the grid point of lexicographic index order[r].  rows() yields
     each row's three coordinate texts, its share group and its condition
     number, and decimals holds, per channel, the rendered share of each
-    group; the writers read these.  Indexing builds the row's SweepPoint,
-    with its exact point and shares, only when it is read.
+    group; the writers read these.
     """
 
     def __init__(
         self,
-        model: CaptureModel,
-        coefficients: Sequence[tuple],
         values: tuple[Fraction, ...],
-        products: np.ndarray,
         order: np.ndarray,
         groups: np.ndarray,
         conditions: np.ndarray,
         decimals: tuple[list[str], ...],
     ) -> None:
-        self._model = model
-        self._coefficients = coefficients
-        self._points = _GridPoints(values)
-        self._d = len(values) - 1
-        self._products = products
         self._texts = [str(value) for value in values]
         self._order = order
         self._groups = groups
         self._conditions = conditions
         self.decimals = decimals
-
-    def __len__(self) -> int:
-        return len(self._order)
 
     def rows(self) -> Iterator[tuple[str, str, str, int, float]]:
         """Each row in order as (p, P_L, P_N) texts, share group, condition number."""
@@ -532,52 +494,34 @@ class Sweep(Sequence[SweepPoint]):
             self._conditions.tolist(),
         )
 
-    def __getitem__(self, row: int) -> SweepPoint:
-        if isinstance(row, slice):
-            return [self[r] for r in range(*row.indices(len(self)))]
-        index = int(self._order[row])
-        pol = self._points[index]
-        (shares,) = channel_share_numerators(
-            [_u_key(*self._products[index].tolist(), self._d)],
-            self._model,
-            self._coefficients,
-            lambda _: pol,
-        )
-        group = int(self._groups[row])
-        decimals = tuple(column[group] for column in self.decimals)
-        return SweepPoint(pol, shares, decimals, float(self._conditions[row]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Sweep, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
 
 def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> Sweep:
     """Rank grid points by how well they complete a strength-fitting design.
 
-    For every point of the uniform grid over [-1, 1]^3 this reports the exact
-    channel fractions of the total cross-section and the condition number of
-    the design matrix formed by the point together with the fixed reference
-    settings (unpolarized, plus the aligned corner in OAM mode).  Output is
-    sorted stably by condition number; the points are generated in
-    lexicographic (p, P_L, P_N) order, so ties keep that order.
+    For every point of the uniform grid over [-1, 1]^3 this reports each
+    channel's exact share of the total cross-section, rendered to 15
+    significant digits, and the condition number of the design matrix formed
+    by the point together with the fixed reference settings (unpolarized,
+    plus the aligned corner in OAM mode).  Output is sorted stably by
+    condition number; the points are generated in lexicographic
+    (p, P_L, P_N) order, so ties keep that order.  The Sweep returned gives
+    them through rows() and decimals.
 
     The grid is held as columns, not as a point object per grid point: float
     coordinates and integer pair products over d = grid_resolution - 1
     (_grid), and each coordinate's text looked up by index.  An exact point
-    is built only where _unit_brackets re-decides an entry near zero, to
-    name a point where the total vanishes, or when a caller reads a
-    SweepPoint.  The u-coefficients of the closed form in force are read
-    once.  The condition numbers come from the float path and one batched
-    SVD over the first half of the grid, since a point's flip (-p, -P_L,
-    -P_N) has the same float row; the other half mirrors them.  The
-    fractions depend on a point only through its u-numerators, so numpy
-    groups the points by their pair products, groups in order of first
-    occurrence.  channel_share_numerators streams each group's shares as
-    integers, and each is rendered to 15 significant digits at once; each
-    share is still decided by field arithmetic.  A point where the total
-    vanishes raises DomainError naming the first such point in grid order.
+    is built only where _unit_brackets re-decides an entry near zero, or to
+    name a point where the total vanishes.  The u-coefficients of the closed
+    form in force are read once.  The condition numbers come from the float
+    path and one batched SVD over the first half of the grid, since a
+    point's flip (-p, -P_L, -P_N) has the same float row; the other half
+    mirrors them.  The fractions depend on a point only through its
+    u-numerators, so numpy groups the points by their pair products, groups
+    in order of first occurrence.  channel_share_numerators streams each
+    group's shares as integers, and each is rendered to 15 significant
+    digits at once; each share is still decided by field arithmetic.  A
+    point where the total vanishes raises DomainError naming the first such
+    point in grid order.
     """
     values, coordinates, products = _grid(grid_resolution)
     d = grid_resolution - 1
@@ -614,9 +558,7 @@ def discriminability_sweep(grid_resolution: int, model: CaptureModel) -> Sweep:
             column.append(render_decimal(*share))
     # No condition number is NaN, so this is the stable sort by value.
     order = np.argsort(conditions, kind="stable")
-    return Sweep(
-        model, coefficients, values, products, order, groups[order], conditions[order], decimals
-    )
+    return Sweep(values, order, groups[order], conditions[order], decimals)
 
 
 # -- file formats ----------------------------------------------------------------
@@ -744,15 +686,6 @@ def read_settings_csv(source: TextIO) -> list[MeasurementSetting]:
     return settings
 
 
-def write_settings_csv(settings: Sequence[MeasurementSetting], sink: TextIO) -> None:
-    writer = csv.writer(sink)
-    writer.writerow(SETTINGS_HEADER)
-    for setting in settings:
-        writer.writerow(
-            [setting.pol.p, setting.pol.pl, setting.pol.pn, setting.exposure, setting.depth]
-        )
-
-
 def _channel_count_columns(mode: CaptureMode) -> list[str]:
     return [f"capture_j{channel.j_final}" for channel in channels_for(mode)]
 
@@ -809,8 +742,9 @@ def read_counts_csv(
     """Read a counts table; setting_id indexes into the settings list.
 
     Channel columns capture_j<j> are matched to channels by name, so their
-    order in the file does not matter.  A table without rows raises
-    DomainError naming the file, as read_settings_csv does.
+    order in the file does not matter.  A standard or channel column that
+    repeats, and a table without rows, raise DomainError naming the file, as
+    read_settings_csv does.
     """
     lines = _DataLines(source, "counts")
     fields = tuple(lines.header() or ())
@@ -818,8 +752,10 @@ def read_counts_csv(
         raise lines.error(
             f"counts file must start with header {','.join(COUNTS_HEADER)}, got {fields}"
         )
+    for name in COUNTS_HEADER:
+        if fields.count(name) > 1:
+            raise lines.error(f"column {name} appears more than once")
     channel_columns = lines.located(lambda: _channel_columns(fields))
-    # A name that repeats reads its last column.
     position = {name: index for index, name in enumerate(fields)}
     setting_at, capture_at, transmitted_at = (position[name] for name in COUNTS_HEADER)
     channels_at = [(position[name], name) for name in channel_columns]

@@ -100,10 +100,6 @@ class ReactionKinematics:
     proton_kev: float
     triton_kev: float
 
-    @classmethod
-    def reference(cls) -> ReactionKinematics:
-        return cls(Q_VALUE_KEV, PROTON_ENERGY_KEV, TRITON_ENERGY_KEV)
-
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -40,7 +40,6 @@ class TestHalfInt:
         assert HalfInt(1) - HalfInt(2) == HalfInt(-1)
         assert -HalfInt(3) == HalfInt(-3)
         assert HalfInt(1) < HalfInt(2)
-        assert HalfInt(3).as_fraction == Fraction(3, 2)
 
     def test_projections(self):
         assert projections(THREE_HALVES) == (HalfInt(-3), HalfInt(-1), HalfInt(1), HalfInt(3))

@@ -29,7 +29,7 @@ from he3cap.cross_sections import (
     ReconciliationReport,
     Discrepancy,
     channel_cross_sections,
-    channel_fraction_rows,
+    channel_fractions,
     channels_for,
     grid_values,
     sections_total,
@@ -398,9 +398,9 @@ class TestSweep:
 
     def test_json_builds_no_object_per_point(self, monkeypatch, tmp_path):
         # Only the references and the points whose entries are re-decided
-        # exactly near zero become PolarizationTriples; no SweepPoint is built.
+        # exactly near zero become PolarizationTriples.
         references = len(experiment._reference_settings(CaptureMode.OAM))
-        counts = {"triples": 0, "points": 0, "redecides": 0}
+        counts = {"triples": 0, "redecides": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -411,7 +411,6 @@ class TestSweep:
 
         for owner, name, counter in [
             (PolarizationTriple, "__post_init__", "triples"),
-            (experiment.SweepPoint, "__init__", "points"),
             (experiment, "closed_form", "redecides"),
         ]:
             monkeypatch.setattr(owner, name, counted(counter, getattr(owner, name)))
@@ -419,7 +418,6 @@ class TestSweep:
         argv = ["sweep", "--grid", "13", "--mode", "oam", "--json", "--out", str(out)]
         assert cli.main(argv) == 0
         assert len(json.loads(out.read_text())["points"]) == 13**3
-        assert counts["points"] == 0
         assert counts["redecides"] > 0
         assert counts["triples"] <= references + counts["redecides"]
 
@@ -431,7 +429,7 @@ def _sweep_reference(
 
     The design rows come from design_matrix, with one SVD per point on the
     reference rows (unpolarized, plus the aligned corner in OAM mode) and
-    the point's row; the shares from channel_fraction_rows and decimal_str.
+    the point's row; the shares from channel_fractions and decimal_str.
     """
     mode = model.mode
     references = [PolarizationTriple.of(0, 0, 0)]
@@ -449,7 +447,7 @@ def _sweep_reference(
         largest, smallest = singular_values[0], singular_values[-1]
         conditions.append(float(largest / smallest) if smallest > 0 else math.inf)
     decimals = [
-        tuple(share.decimal_str() for share in row) for row in channel_fraction_rows(pols, model)
+        tuple(share.decimal_str() for _, share in channel_fractions(pol, model)) for pol in pols
     ]
     order = sorted(range(len(pols)), key=conditions.__getitem__)
     return [(pols[i], decimals[i], conditions[i]) for i in order]
@@ -888,6 +886,26 @@ class TestSimulateAndFit:
         )
         assert (code, out) == (1, "")
         assert err == f"error: {counts_path}, line 2: {message}\n"
+
+    @pytest.mark.parametrize(
+        ("name", "message"),
+        [
+            ("setting_id", "error: c.csv, line 1: column setting_id appears more than once\n"),
+            ("capture", "error: c.csv, line 1: column capture appears more than once\n"),
+            ("transmitted", "error: c.csv, line 1: column transmitted appears more than once\n"),
+        ],
+    )
+    def test_repeated_standard_column_is_refused(
+        self, capsys, monkeypatch, settings_file, tmp_path, name, message
+    ):
+        # The repeated column is all zero; read from it, the captures would fit K = 0.
+        monkeypatch.chdir(tmp_path)
+        rows = "".join(f"{i},300,100,0\n" for i in range(4))
+        Path("c.csv").write_text(f"setting_id,capture,transmitted,{name}\n{rows}")
+        code, out, err = run(
+            capsys, "fit", "--settings", str(settings_file), "--counts", "c.csv", "--mode", "oam"
+        )
+        assert (code, out, err) == (1, "", message)
 
     def test_infinite_exposure_times_depth_is_domain_error(self, capsys, tmp_path):
         settings_path = tmp_path / "settings.csv"

@@ -505,8 +505,19 @@ def _cube(values) -> list[PolarizationTriple]:
     return [PolarizationTriple(p, pl, pn) for p, pl, pn in product(values, repeat=3)]
 
 
+def _share_rows(pols, model) -> list[tuple[QuadRational, ...]]:
+    """channel_share_numerators at each point's own u-numerators, as QuadRationals."""
+    rows = cross_sections.channel_share_numerators(
+        (pol.integer_form[1] for pol in pols),
+        model,
+        cross_sections.u_coefficients(model.mode),
+        pols.__getitem__,
+    )
+    return [tuple(QuadRational(Fraction(p, n), Fraction(q, n)) for p, q, n in row) for row in rows]
+
+
 class TestFractionRows:
-    """The integer batch against each closed form divided by their sum, point by point."""
+    """The integer shares against each closed form divided by their sum, point by point."""
 
     @pytest.mark.parametrize(
         "model",
@@ -537,11 +548,11 @@ class TestFractionRows:
             total = sum(sections, QuadRational.zero())
             if total.is_zero:
                 with pytest.raises(DomainError):
-                    cross_sections.channel_fraction_rows([pol], model)
+                    _share_rows([pol], model)
                 continue
             defined.append(pol)
             reference.append(tuple(value / total for value in sections))
-        assert cross_sections.channel_fraction_rows(defined, model) == reference
+        assert _share_rows(defined, model) == reference
 
     @pytest.mark.parametrize("mode", list(CaptureMode), ids=lambda mode: mode.value)
     def test_u_coefficients_read_back_the_table(self, mode):
@@ -554,12 +565,12 @@ class TestFractionRows:
         # The 0- channel alone vanishes wherever all three polarizations align.
         pols = [PolarizationTriple.of(*signs) for signs in ((0, 0, 0), (1, 1, 1), (-1, -1, -1))]
         with pytest.raises(DomainError, match=re.escape("zero at (p=1, P_L=1, P_N=1);")):
-            cross_sections.channel_fraction_rows(pols, CaptureModel.oam(1, 0, 0))
+            _share_rows(pols, CaptureModel.oam(1, 0, 0))
 
-    def test_channel_fractions_is_the_one_point_case(self):
+    def test_channel_fractions_agree_with_the_integer_shares(self):
         pol = PolarizationTriple.of("1/3", "-2/7", "5/6")
         model = CaptureModel.oam("7/3", 2, "1/2")
-        (row,) = cross_sections.channel_fraction_rows([pol], model)
+        (row,) = _share_rows([pol], model)
         assert channel_fractions(pol, model) == tuple(zip(OAM_CHANNELS, row))
 
 

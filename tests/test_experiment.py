@@ -29,7 +29,6 @@ from he3cap.experiment import (
     read_settings_csv,
     simulate_counts,
     write_counts_csv,
-    write_settings_csv,
 )
 from he3cap.polarization import PolarizationTriple
 
@@ -329,52 +328,52 @@ class TestSimulation:
             simulate_counts([setting(0, 0, 0)], CaptureModel.uniform(CaptureMode.OAM), seed)
 
 
+def _sweep_rows(sweep):
+    """Each row of a sweep as (point, share decimals, condition number)."""
+    return [
+        (PolarizationTriple.of(p, pl, pn), tuple(column[group] for column in sweep.decimals), c)
+        for p, pl, pn, group, c in sweep.rows()
+    ]
+
+
+def _exact_fractions(pol, model, evaluate=closed_form):
+    """Each channel's closed form divided by their sum."""
+    sections = [evaluate(channel, pol, model).value for channel in model.channels]
+    total = sum(sections, QuadRational.zero())
+    return tuple(value / total for value in sections)
+
+
+def _rendered(fractions):
+    return tuple(share.decimal_str() for share in fractions)
+
+
 class TestSweep:
     def test_corner_fractions_at_resolution_two(self):
-        sweep = discriminability_sweep(2, CaptureModel.uniform(CaptureMode.OAM))
-        assert len(sweep) == 8
-        corner = next(
-            point for point in sweep if (point.pol.p, point.pol.pl, point.pol.pn) == (1, 1, 1)
-        )
-        assert corner.fractions == (
-            QuadRational.zero(),
-            QuadRational.zero(),
-            QuadRational.one(),
-        )
+        rows = _sweep_rows(discriminability_sweep(2, CaptureModel.uniform(CaptureMode.OAM)))
+        assert len(rows) == 8
+        corner = PolarizationTriple.of(1, 1, 1)
+        assert next(decimals for pol, decimals, _ in rows if pol == corner) == ("0", "0", "1")
 
     def test_resolution_three_contains_unpolarized_weights(self):
-        sweep = discriminability_sweep(3, CaptureModel.uniform(CaptureMode.OAM))
-        assert len(sweep) == 27
-        center = next(
-            point for point in sweep if (point.pol.p, point.pol.pl, point.pol.pn) == (0, 0, 0)
-        )
-        assert center.fractions == (
-            QuadRational.from_rational(Fraction(1, 12)),
-            QuadRational.from_rational(Fraction(1, 2)),
-            QuadRational.from_rational(Fraction(5, 12)),
+        rows = _sweep_rows(discriminability_sweep(3, CaptureModel.uniform(CaptureMode.OAM)))
+        assert len(rows) == 27
+        center = PolarizationTriple.of(0, 0, 0)
+        assert next(decimals for pol, decimals, _ in rows if pol == center) == _rendered(
+            QuadRational.from_rational(Fraction(k, 12)) for k in (1, 6, 5)
         )
 
     def test_ordinary_fractions_independent_of_pl(self):
-        sweep = discriminability_sweep(3, CaptureModel.uniform(CaptureMode.ORDINARY))
         by_p_pn = {}
-        for point in sweep:
-            by_p_pn.setdefault((point.pol.p, point.pol.pn), set()).add(point.fractions)
+        for pol, decimals, _ in _sweep_rows(
+            discriminability_sweep(3, CaptureModel.uniform(CaptureMode.ORDINARY))
+        ):
+            by_p_pn.setdefault((pol.p, pol.pn), set()).add(decimals)
         assert all(len(variants) == 1 for variants in by_p_pn.values())
 
     def test_sorted_by_condition_number_then_lexicographic(self):
-        sweep = discriminability_sweep(3, CaptureModel.uniform(CaptureMode.OAM))
-        keys = [
-            (point.condition_number, point.pol.p, point.pol.pl, point.pol.pn)
-            for point in sweep
-        ]
+        rows = _sweep_rows(discriminability_sweep(3, CaptureModel.uniform(CaptureMode.OAM)))
+        keys = [(condition, pol.p, pol.pl, pol.pn) for pol, _, condition in rows]
         assert keys == sorted(keys)
-
-    def test_fractions_sum_to_one(self):
-        for point in discriminability_sweep(3, CaptureModel.uniform(CaptureMode.OAM)):
-            total = QuadRational.zero()
-            for share in point.fractions:
-                total = total + share
-            assert total == QuadRational.one()
 
     def test_resolution_below_two_rejected(self):
         with pytest.raises(DomainError):
@@ -383,16 +382,13 @@ class TestSweep:
     def test_fractions_follow_the_closed_form_in_force(self, monkeypatch):
         model = CaptureModel.oam("7/3", 2, "1/2")
         before = {
-            point.pol: point.fractions
-            for point in discriminability_sweep(3, model)
+            pol: decimals for pol, decimals, _ in _sweep_rows(discriminability_sweep(3, model))
         }
         wrong_closed_form = _patch_wrong_j1_closed_form(monkeypatch)
-        after = discriminability_sweep(3, model)
-        assert any(point.fractions != before[point.pol] for point in after)
-        for point in after:
-            sections = [wrong_closed_form(ch, point.pol, model).value for ch in OAM_CHANNELS]
-            total = sum(sections, QuadRational.zero())
-            assert point.fractions == tuple(value / total for value in sections)
+        after = _sweep_rows(discriminability_sweep(3, model))
+        assert any(decimals != before[pol] for pol, decimals, _ in after)
+        for pol, decimals, _ in after:
+            assert decimals == _rendered(_exact_fractions(pol, model, wrong_closed_form))
 
     @pytest.mark.parametrize(
         "model",
@@ -400,20 +396,24 @@ class TestSweep:
         ids=["oam", "ordinary"],
     )
     def test_a_point_and_its_flip_agree(self, model):
-        by_pol = {point.pol: point for point in discriminability_sweep(5, model)}
-        for pol, point in by_pol.items():
-            flip = by_pol[pol.flipped()]
-            assert flip.fractions == point.fractions
-            assert flip.decimals == point.decimals
-            assert flip.condition_number == point.condition_number
+        by_pol = {pol: row for pol, *row in _sweep_rows(discriminability_sweep(5, model))}
+        for pol, row in by_pol.items():
+            assert by_pol[pol.flipped()] == row
 
-    def test_decimals_render_the_fractions(self):
-        for point in discriminability_sweep(5, CaptureModel.oam("7/3", 2, "1/2")):
-            assert point.decimals == tuple(share.decimal_str() for share in point.fractions)
+    @pytest.mark.parametrize(
+        "model",
+        [CaptureModel.oam("7/3", 2, "1/2"), CaptureModel.ordinary(1, 3)],
+        ids=["oam", "ordinary"],
+    )
+    def test_decimals_render_the_closed_forms_over_their_sum(self, model):
+        for pol, decimals, _ in _sweep_rows(discriminability_sweep(5, model)):
+            assert decimals == _rendered(_exact_fractions(pol, model))
 
     def test_deterministic(self):
         model = CaptureModel.uniform(CaptureMode.OAM)
-        assert discriminability_sweep(3, model) == discriminability_sweep(3, model)
+        first, second = discriminability_sweep(3, model), discriminability_sweep(3, model)
+        assert list(first.rows()) == list(second.rows())
+        assert first.decimals == second.decimals
 
     @pytest.mark.parametrize("mode", list(CaptureMode), ids=lambda mode: mode.value)
     @pytest.mark.parametrize("grid", [9, 13])
@@ -431,7 +431,7 @@ class TestSweep:
         d = grid - 1
         keys = [experiment._u_key(*point, d) for point in products.tolist()]
         for pol, key in zip(pols, keys):
-            reduced = cross_sections._u_numerators(pol)
+            reduced = pol.integer_form[1]
             assert key == tuple(value * (d**2 // reduced[0]) for value in reduced)
         # Points share a group exactly when their u-keys agree, and groups
         # are numbered in order of their first point.
@@ -445,15 +445,12 @@ class TestSweep:
 
 
 class TestFileFormats:
-    def test_settings_roundtrip_preserves_exact_rationals(self):
-        settings = [
+    def test_settings_read_exact_rationals(self):
+        text = "p,P_L,P_N,exposure,depth\n-1/2,1/3,0.25,2.5,0.125\n1,-1,0,1000000.0,0.0001\n"
+        assert read_settings_csv(io.StringIO(text)) == [
             setting("-1/2", "1/3", "0.25", exposure=2.5, depth=0.125),
             setting(1, -1, 0, exposure=1e6, depth=1e-4),
         ]
-        buffer = io.StringIO()
-        write_settings_csv(settings, buffer)
-        buffer.seek(0)
-        assert read_settings_csv(buffer) == settings
 
     def test_settings_header_enforced(self):
         with pytest.raises(DomainError):
@@ -603,7 +600,10 @@ COUNTS_FILE_CASES = {
         COUNTS_HEADER + ",capture_j0,capture_j1,capture_j2\n0,3,1,1,1,1\n1,3,1,1,x,1\n",
         "{path}, line 3: column capture_j1: malformed value 'x'",
     ),
-    "repeated-column": (COUNTS_HEADER + ",setting_id\n0,5,10,2\n", [(2, 5, 10, None)]),
+    "repeated-column": (
+        COUNTS_HEADER + ",setting_id\n0,5,10,2\n",
+        "{path}, line 1: column setting_id appears more than once",
+    ),
 }
 
 

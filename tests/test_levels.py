@@ -16,6 +16,9 @@ from he3cap.cross_sections import (
 from he3cap.errors import LevelNotFoundError
 from he3cap.levels import (
     ENTRY_ENERGY_KEV,
+    PROTON_ENERGY_KEV,
+    Q_VALUE_KEV,
+    TRITON_ENERGY_KEV,
     ReactionKinematics,
     builtin_levels,
     channel_detuning,
@@ -103,9 +106,12 @@ class TestParitySelection:
             assert len({channel.j_final for channel in channels}) == len(channels)
 
 
+REFERENCE = ReactionKinematics(Q_VALUE_KEV, PROTON_ENERGY_KEV, TRITON_ENERGY_KEV)
+
+
 class TestKinematics:
     def test_reference_values_pass(self):
-        report = check_kinematics(ReactionKinematics.reference())
+        report = check_kinematics(REFERENCE)
         assert report.passed
         assert [check.name for check in report.checks] == ["energy_sum", "momentum_balance"]
 
@@ -128,6 +134,6 @@ class TestKinematics:
         assert not by_name["momentum_balance"]
 
     def test_json_shape(self):
-        payload = check_kinematics(ReactionKinematics.reference()).to_json_dict()
+        payload = check_kinematics(REFERENCE).to_json_dict()
         assert payload["passed"] is True
         assert len(payload["checks"]) == 2
