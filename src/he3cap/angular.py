@@ -56,9 +56,6 @@ class HalfInt:
             return str(self.twice // 2)
         return f"{self.twice}/2"
 
-    def __repr__(self) -> str:
-        return f"HalfInt({self.twice})"
-
 
 def validate_jm(j: HalfInt, m: HalfInt) -> None:
     """Reject (j, m) pairs violating j >= 0, |m| <= j, or twice-value parity."""

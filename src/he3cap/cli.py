@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -374,13 +375,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    from .experiment import fit_strengths, read_counts_csv, read_settings_csv
+# The last settings file parsed in this process: its bytes and the settings
+# they gave.  A file that fails to parse is not kept.
+_kept_settings: tuple[bytes, tuple] | None = None
 
-    with open(args.settings, encoding="utf-8") as handle:
-        settings = read_settings_csv(handle)
-    with open(args.counts, encoding="utf-8") as handle:
-        records = read_counts_csv(handle, settings)
+
+def _read_settings(path: str) -> tuple:
+    """The settings in the file at path, parsed once per distinct content.
+
+    The file is read whole.  Bytes equal to the last ones parsed give the
+    settings parsed then, the same objects, so experiment.design_matrix
+    finds its kept matrix for them.  Other bytes are parsed as
+    read_settings_csv reads the file itself, so an error names the path and
+    the line as it would.
+    """
+    global _kept_settings
+    from .experiment import read_settings_csv
+
+    with open(path, "rb") as handle:
+        data = handle.read()
+    kept = _kept_settings
+    if kept is None or kept[0] != data:
+        buffer = io.BytesIO(data)
+        buffer.name = path
+        with io.TextIOWrapper(buffer, encoding="utf-8-sig") as text:
+            kept = (data, tuple(read_settings_csv(text)))
+        _kept_settings = kept
+    return kept[1]
+
+
+def _cmd_fit(args: argparse.Namespace) -> int:
+    from .experiment import fit_strengths, read_counts_csv
+
+    settings = _read_settings(args.settings)
+    with open(args.counts, encoding="utf-8-sig") as handle:
+        records = read_counts_csv(
+            handle, settings, args.mode if args.channel_resolved else None
+        )
     result = fit_strengths(records, args.mode, channel_resolved=args.channel_resolved)
     payload = {"metadata": _metadata(args), **result.to_json_dict()}
     with _sink(args) as sink:
@@ -390,10 +421,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .experiment import read_settings_csv, simulate_counts, write_counts_csv
+    from .experiment import simulate_counts, write_counts_csv
 
-    with open(args.settings, encoding="utf-8") as handle:
-        settings = read_settings_csv(handle)
+    settings = _read_settings(args.settings)
     model = _model_from_args(args)
     records = simulate_counts(settings, model, args.seed)
     with _sink(args) as sink:

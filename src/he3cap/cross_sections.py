@@ -92,9 +92,6 @@ class Channel:
     def label(self) -> str:
         return f"{self.j_final}{self.parity.value}"
 
-    def __str__(self) -> str:
-        return self.label
-
 
 SINGLET = Channel(HalfInt(0), Parity.EVEN)
 TRIPLET = Channel(HalfInt(2), Parity.EVEN)

@@ -187,9 +187,6 @@ class SqrtRational:
     def square(self) -> Fraction:
         return self.radicand
 
-    def __neg__(self) -> SqrtRational:
-        return SqrtRational(-self.sign, self.radicand)
-
     def __mul__(self, other: SqrtRational) -> SqrtRational:
         if not isinstance(other, SqrtRational):
             return NotImplemented

@@ -33,6 +33,15 @@ spawn_key=(i,)); the streams of all settings are derived in one pass
 (seeding.pcg64_states, which restates numpy's derivation) and drawn through
 one Generator.
 
+design_matrix keeps the last matrix it built, one entry per process, and
+returns it read-only.  Its key is the mode, the rows u_coefficients(mode)
+returns at the call, and the identity of every setting in order, so a
+closed form patched in is seen on the next call.  The CLI keeps the last
+settings file it parsed, keyed on the file's bytes, and hands the same
+setting objects to simulate and fit; a process that calls cli.main
+repeatedly on one file parses it and builds its design matrix once.  The
+sweep builds its own rows and does not use the kept matrix.
+
 The settings and counts readers take csv.reader rows of the file's data
 lines: the header is checked once, columns are found by position once, and
 a row of the wrong length is located by its line.  The settings reader
@@ -181,16 +190,42 @@ def _unit_brackets(
     return values
 
 
+# The last design matrix built in this process and its key: the mode, the
+# u-coefficient rows it was built from, and the settings themselves, held so
+# that no other setting can take one of their identities.
+_kept_design: tuple[CaptureMode, list, tuple[MeasurementSetting, ...], np.ndarray] | None = None
+
+
 def design_matrix(settings: Sequence[MeasurementSetting], mode: CaptureMode) -> np.ndarray:
     """Per-setting, per-channel cross-section brackets at unit strength.
 
     Entry (i, c) is the channel-c cross-section at setting i with K = 1, as
-    a float; exact zeros are exact.
+    a float; exact zeros are exact.  The result is read-only.
+
+    The last matrix built is kept, and returned again when the mode, the rows
+    u_coefficients(mode) returns at this call, and every setting (by
+    identity, in order) are those it was built for.  A closed form patched in
+    since then changes the rows, so it is seen on the next call.
     """
+    global _kept_design
     if not settings:
         raise DomainError("at least one measurement setting is required")
+    coefficients = u_coefficients(mode)
+    kept = _kept_design
+    if (
+        kept is not None
+        and kept[0] is mode
+        and kept[1] == coefficients
+        and len(kept[2]) == len(settings)
+        and all(map(operator.is_, kept[2], settings))
+    ):
+        return kept[3]
+    settings = tuple(settings)
     pols = [setting.pol for setting in settings]
-    return _unit_brackets(_coordinates(pols), pols, mode, u_coefficients(mode))
+    matrix = _unit_brackets(_coordinates(pols), pols, mode, coefficients)
+    matrix.flags.writeable = False
+    _kept_design = (mode, coefficients, settings, matrix)
+    return matrix
 
 
 def _describe_null_combination(
@@ -737,14 +772,17 @@ def write_counts_csv(
 
 
 def read_counts_csv(
-    source: TextIO, settings: Sequence[MeasurementSetting]
+    source: TextIO,
+    settings: Sequence[MeasurementSetting],
+    channel_mode: CaptureMode | None = None,
 ) -> list[CountRecord]:
     """Read a counts table; setting_id indexes into the settings list.
 
     Channel columns capture_j<j> are matched to channels by name, so their
     order in the file does not matter.  A standard or channel column that
     repeats, and a table without rows, raise DomainError naming the file, as
-    read_settings_csv does.
+    read_settings_csv does.  With channel_mode, the header must hold exactly
+    that mode's channel columns, as a channel-resolved fit needs.
     """
     lines = _DataLines(source, "counts")
     fields = tuple(lines.header() or ())
@@ -756,6 +794,13 @@ def read_counts_csv(
         if fields.count(name) > 1:
             raise lines.error(f"column {name} appears more than once")
     channel_columns = lines.located(lambda: _channel_columns(fields))
+    if channel_mode is not None:
+        needed = _channel_count_columns(channel_mode)
+        if channel_columns != needed:
+            raise lines.error(
+                f"a channel-resolved {channel_mode.value} fit needs columns "
+                f"{', '.join(needed)}; the header has {', '.join(channel_columns) or 'none'}"
+            )
     position = {name: index for index, name in enumerate(fields)}
     setting_at, capture_at, transmitted_at = (position[name] for name in COUNTS_HEADER)
     channels_at = [(position[name], name) for name in channel_columns]

@@ -116,7 +116,7 @@ def test_criterion_04_coupled_state_table_reproduced_with_signs():
         (1, "-1/2", "3/2", "1/2", SqrtRational.sqrt("1/3")),
         (1, "-1/2", "1/2", "1/2", SqrtRational.sqrt("2/3")),
         (-1, "1/2", "3/2", "-1/2", SqrtRational.sqrt("1/3")),
-        (-1, "1/2", "1/2", "-1/2", -SqrtRational.sqrt("2/3")),
+        (-1, "1/2", "1/2", "-1/2", SqrtRational(-1, Fraction(2, 3))),
         (-1, "-1/2", "3/2", "-3/2", one),
     ]
     for m_l, mu, j_coupled, m_coupled, expected in rows:
@@ -201,7 +201,7 @@ def test_criterion_07_coupling_property_suite_at_least_500_cases():
                     continue
                 left = cg(j1, m1, j2, m2, j, m)
                 right = cg(j1, -m1, j2, -m2, j, -m)
-                assert left == (right if phase == 1 else -right)
+                assert left == right * SqrtRational.from_rational(phase)
                 cases += 1
 
     assert cases >= 500, f"only {cases} property cases"

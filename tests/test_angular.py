@@ -64,7 +64,7 @@ class TestCouplingCoefficient:
         assert cg(1, 1, "1/2", "-1/2", "3/2", "1/2") == sqrt("1/3")
         assert cg(1, 1, "1/2", "-1/2", "1/2", "1/2") == sqrt("2/3")
         assert cg(1, -1, "1/2", "1/2", "3/2", "-1/2") == sqrt("1/3")
-        assert cg(1, -1, "1/2", "1/2", "1/2", "-1/2") == -sqrt("2/3")
+        assert cg(1, -1, "1/2", "1/2", "1/2", "-1/2") == SqrtRational(-1, Fraction(2, 3))
         assert cg(1, -1, "1/2", "-1/2", "3/2", "-3/2") == SqrtRational.from_rational(1)
 
     def test_projection_mismatch_is_zero(self):
@@ -82,7 +82,7 @@ class TestCouplingCoefficient:
 
     def test_spin_half_coupling(self):
         assert cg("1/2", "1/2", "1/2", "-1/2", 0, 0) == sqrt("1/2")
-        assert cg("1/2", "-1/2", "1/2", "1/2", 0, 0) == -sqrt("1/2")
+        assert cg("1/2", "-1/2", "1/2", "1/2", 0, 0) == SqrtRational(-1, Fraction(1, 2))
         assert cg("1/2", "1/2", "1/2", "-1/2", 1, 0) == sqrt("1/2")
         assert cg("1/2", "1/2", "1/2", "1/2", 1, 1) == SqrtRational.from_rational(1)
 
@@ -90,7 +90,7 @@ class TestCouplingCoefficient:
         # 1 x 1 -> 2, 1, 0 at M = 0
         assert cg(1, 0, 1, 0, 2, 0) == sqrt("2/3")
         assert cg(1, 0, 1, 0, 1, 0).is_zero
-        assert cg(1, 0, 1, 0, 0, 0) == -sqrt("1/3")
+        assert cg(1, 0, 1, 0, 0, 0) == SqrtRational(-1, Fraction(1, 3))
         assert cg(1, 1, 1, -1, 0, 0) == sqrt("1/3")
 
 
@@ -143,7 +143,7 @@ class TestCouplingProperties:
                                 continue
                             left = cg(j1, m1, j2, m2, j, m)
                             right = cg(j1, -m1, j2, -m2, j, -m)
-                            assert left == (right if phase == 1 else -right)
+                            assert left == right * SqrtRational.from_rational(phase)
 
     @given(
         st.integers(min_value=0, max_value=8),

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -153,6 +154,45 @@ WRONG_J1_GRID3_LISTING = (
     "mismatch: 1- at (p=1, P_L=1, P_N=-1): closed=33/40 oracle=3/4\n"
     "mismatch: 1- at (p=1, P_L=1, P_N=0): closed=33/80 oracle=3/8\n"
 )
+
+# What `fit --settings settings.csv --counts c.csv --mode oam` writes for
+# counts with no captures at any setting.
+ZERO_CAPTURES_FIT_JSON = """\
+{
+  "metadata": {
+    "command": "he3cap fit --settings settings.csv --counts c.csv --mode oam",
+    "version": "0.1.0"
+  },
+  "K_hat": {
+    "0-": 0.0,
+    "1-": 0.0,
+    "2-": 0.0
+  },
+  "covariance": [
+    [
+      0.0,
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0,
+      0.0
+    ],
+    [
+      0.0,
+      0.0,
+      0.0
+    ]
+  ],
+  "residual_norm": 0.0,
+  "channels": [
+    "0-",
+    "1-",
+    "2-"
+  ]
+}
+"""
 
 
 def _as_bytes(data: str | bytes) -> bytes:
@@ -610,6 +650,34 @@ class TestSimulateAndFit:
         assert comment.startswith("# he3cap simulate") and comment.endswith("| seed=7")
         assert table == counts
 
+    # Spreadsheet programs start a CSV file with a UTF-8 byte-order mark.
+    def test_settings_file_with_a_byte_order_mark(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        Path("s.csv").write_text(README_SETTINGS_CSV, encoding="utf-8-sig")
+        assert Path("s.csv").read_bytes().startswith(b"\xef\xbb\xbfp,P_L")
+        code, out, err = run(
+            capsys, "simulate", "--settings", "s.csv", "--mode", "oam", "--k", "1,2,1/2", "--seed", "7"
+        )
+        assert (code, out, err) == (
+            0,
+            "# he3cap simulate --settings s.csv --mode oam --k 1,2,1/2 --seed 7 "
+            "| he3cap 0.1.0 | seed=7\n"
+            "setting_id,capture,transmitted\r\n"
+            "0,1325,996690\r\n1,499,998642\r\n2,2375,997734\r\n3,1524,997172\r\n",
+            "",
+        )
+
+    def test_counts_file_with_a_byte_order_mark(self, capsys, monkeypatch, settings_file, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        Path("c.csv").write_text(
+            "setting_id,capture,transmitted\n" + "".join(f"{i},0,100000\n" for i in range(4)),
+            encoding="utf-8-sig",
+        )
+        code, out, err = run(
+            capsys, "fit", "--settings", "settings.csv", "--counts", "c.csv", "--mode", "oam"
+        )
+        assert (code, out, err) == (0, ZERO_CAPTURES_FIT_JSON, "")
+
     def test_a_setting_draws_from_its_own_stream(self, capsys, tmp_path):
         records = []
         for changed in ("1,-1,1", "1/2,0,-1"):
@@ -954,32 +1022,55 @@ class TestSimulateAndFit:
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    # fit_strengths checks the channel counts too, for library callers; the
+    # CLI refuses the header first, naming the file and the line.
     @pytest.mark.parametrize(
-        ("columns", "mode", "channels"),
-        [(4, "oam", 3), (3, "ordinary", 2), (2, "oam", 3)],
-        ids=["four-columns-oam", "three-columns-ordinary", "two-columns-oam"],
+        ("columns", "mode", "message"),
+        [
+            (
+                0,
+                "oam",
+                "error: c.csv, line 1: a channel-resolved oam fit needs columns "
+                "capture_j0, capture_j1, capture_j2; the header has none\n",
+            ),
+            (
+                2,
+                "oam",
+                "error: c.csv, line 1: a channel-resolved oam fit needs columns "
+                "capture_j0, capture_j1, capture_j2; the header has capture_j0, capture_j1\n",
+            ),
+            (
+                4,
+                "oam",
+                "error: c.csv, line 1: a channel-resolved oam fit needs columns "
+                "capture_j0, capture_j1, capture_j2; "
+                "the header has capture_j0, capture_j1, capture_j2, capture_j3\n",
+            ),
+            (
+                3,
+                "ordinary",
+                "error: c.csv, line 1: a channel-resolved ordinary fit needs columns "
+                "capture_j0, capture_j1; the header has capture_j0, capture_j1, capture_j2\n",
+            ),
+        ],
+        ids=["no-columns-oam", "two-columns-oam", "four-columns-oam", "three-columns-ordinary"],
     )
     def test_channel_columns_must_match_the_mode(
-        self, capsys, settings_file, tmp_path, columns, mode, channels
+        self, capsys, monkeypatch, settings_file, tmp_path, columns, mode, message
     ):
-        names = ",".join(f"capture_j{j}" for j in range(columns))
+        monkeypatch.chdir(tmp_path)
+        names = "".join(f",capture_j{j}" for j in range(columns))
         rows = "".join(f"{i},{columns},100{',1' * columns}\n" for i in range(4))
-        counts_path = tmp_path / "counts.csv"
-        counts_path.write_text(f"setting_id,capture,transmitted,{names}\n{rows}")
+        Path("c.csv").write_text(f"setting_id,capture,transmitted{names}\n{rows}")
         code, out, err = run(
             capsys,
             "fit",
             "--settings", str(settings_file),
-            "--counts", str(counts_path),
+            "--counts", "c.csv",
             "--mode", mode,
             "--channel-resolved",
         )
-        assert code == 1
-        assert out == ""
-        assert err == (
-            f"error: record 0 has {columns} channel counts, "
-            f"but {mode} mode has {channels} channels\n"
-        )
+        assert (code, out, err) == (1, "", message)
 
     @pytest.mark.parametrize("seed", ["-1", "-12345678901234567890"])
     def test_negative_seed_is_usage_error(self, capsys, settings_file, seed):
@@ -1015,6 +1106,82 @@ class TestSimulateAndFit:
         )
         assert code == 1
         assert err.startswith("error:")
+
+
+GRID5_SETTINGS_CSV = "p,P_L,P_N,exposure,depth\n" + "".join(
+    f"{p},{pl},{pn},65000000.0,0.0001\n"
+    for p, pl, pn in product(("-1", "-1/2", "0", "1/2", "1"), repeat=3)
+)
+
+
+class TestInputsKeptAcrossCalls:
+    """A process that calls cli.main again sees each input file as it is at that call.
+
+    cli keeps the last settings file it parsed, by its bytes, and experiment
+    the last design matrix it built.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp_path(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+
+    SIMULATE = ["simulate", "--settings", "s.csv", "--mode", "oam", "--k", "1,2,1/2", "--seed", "7"]
+    FIT = ["fit", "--settings", "s.csv", "--counts", "c.csv", "--mode", "oam"]
+
+    def _with_nothing_kept(self, capsys, monkeypatch, *argv):
+        monkeypatch.setattr(cli, "_kept_settings", None)
+        monkeypatch.setattr(experiment, "_kept_design", None)
+        return run(capsys, *argv)
+
+    def test_a_rewritten_settings_file_is_read_anew(self, capsys, monkeypatch):
+        Path("s.csv").write_text(README_SETTINGS_CSV)
+        first = run(capsys, *self.SIMULATE, "--channel-resolved")
+        # The same size, so only the bytes tell the files apart.
+        Path("s.csv").write_text(README_SETTINGS_CSV.replace("1,-1,1,", "1,-1,0,"))
+        second = run(capsys, *self.SIMULATE, "--channel-resolved", "--out", "c.csv")
+        assert second == (0, "", "")
+        counts = Path("c.csv").read_text()
+        assert counts.splitlines()[2:] != first[1].splitlines()[2:]
+        fit = run(capsys, *self.FIT, "--channel-resolved")
+        assert self._with_nothing_kept(
+            capsys, monkeypatch, *self.SIMULATE, "--channel-resolved", "--out", "c.csv"
+        ) == second
+        assert Path("c.csv").read_text() == counts
+        assert self._with_nothing_kept(capsys, monkeypatch, *self.FIT, "--channel-resolved") == fit
+
+    def test_a_malformed_file_is_refused_at_every_call(self, capsys):
+        Path("s.csv").write_text(README_SETTINGS_CSV)
+        Path("c.csv").write_text("setting_id,capture,transmitted\n0,1,1\n")
+        good = run(capsys, *self.SIMULATE)
+        assert good[0] == 0
+        Path("s.csv").write_text(README_SETTINGS_CSV + "x,0,0,1,1\n")
+        refused = (1, "", "error: s.csv, line 6: column p: malformed value 'x'\n")
+        for _ in range(3):
+            assert run(capsys, *self.SIMULATE) == refused
+            assert run(capsys, *self.FIT) == refused
+        Path("s.csv").write_text(README_SETTINGS_CSV)
+        assert run(capsys, *self.SIMULATE) == good
+
+    def test_alternating_calls_match_fresh_processes(self):
+        Path("s.csv").write_text(GRID5_SETTINGS_CSV)
+        runs = []
+        for seed, flags in (("7", []), ("8", ["--channel-resolved"])):
+            simulate = [*self.SIMULATE[:-1], seed, *flags, "--out", "c.csv"]
+            fit = [*self.FIT, *flags, "--out", "f.json"]
+            runs.append((simulate, fit))
+        env = dict(os.environ, PYTHONPATH=str(Path(he3cap.__file__).parents[1]))
+        fresh = []
+        for simulate, fit in runs:
+            for argv in (simulate, fit):
+                subprocess.run([sys.executable, "-m", "he3cap", *argv], env=env, check=True)
+            fresh.append((Path("c.csv").read_bytes(), Path("f.json").read_bytes()))
+        # 20 calls in this process: simulate then fit, the two runs in turn.
+        for index in range(10):
+            (simulate, fit), (counts, result) = runs[index % 2], fresh[index % 2]
+            assert cli.main(simulate) == 0
+            assert Path("c.csv").read_bytes() == counts
+            assert cli.main(fit) == 0
+            assert Path("f.json").read_bytes() == result
 
 
 def _input_files(header: bytes):

@@ -63,21 +63,19 @@ class TestSqrtRational:
         assert SqrtRational.from_rational(Fraction(-2, 3)) == SqrtRational(-1, Fraction(4, 9))
         assert SqrtRational.from_rational(0).is_zero
 
-    def test_square_and_negate(self):
-        value = SqrtRational.sqrt(THIRD)
-        assert value.square() == THIRD
-        assert (-value).sign == -1
-        assert (-value).square() == THIRD
+    def test_square_of_either_sign(self):
+        assert SqrtRational.sqrt(THIRD).square() == THIRD
+        assert SqrtRational(-1, THIRD).square() == THIRD
 
     def test_str_forms(self):
         assert str(SqrtRational.sqrt(THIRD)) == "+sqrt(1/3)"
-        assert str(-SqrtRational.sqrt(TWO_THIRDS)) == "-sqrt(2/3)"
+        assert str(SqrtRational(-1, TWO_THIRDS)) == "-sqrt(2/3)"
         assert str(SqrtRational.from_rational(1)) == "+1"
         assert str(SqrtRational.zero()) == "0"
 
     def test_decimal_str_matches_15_digits(self):
         assert SqrtRational.sqrt(THIRD).decimal_str() == "0.577350269189626"
-        assert (-SqrtRational.sqrt(TWO_THIRDS)).decimal_str() == "-0.816496580927726"
+        assert SqrtRational(-1, TWO_THIRDS).decimal_str() == "-0.816496580927726"
 
 
 class TestSqrtProduct:
@@ -91,7 +89,7 @@ class TestSqrtProduct:
 
     def test_signed_product(self):
         root = SqrtRational.sqrt(TWO_THIRDS)
-        assert sqrt_product(-root, root) == QuadRational(Fraction(-2, 3), Fraction(0))
+        assert sqrt_product(SqrtRational(-1, TWO_THIRDS), root) == QuadRational(Fraction(-2, 3), Fraction(0))
 
     def test_unsupported_radicand_raises(self):
         with pytest.raises(UnsupportedRadicandError):
@@ -267,9 +265,7 @@ class TestRenderDecimal:
     @example(Fraction(1, 4), False)
     @example(Fraction(2), True)
     def test_signed_root_matches_a_reference(self, radicand, negative):
-        root = SqrtRational.sqrt(radicand)
-        if negative:
-            root = -root
+        root = SqrtRational.from_rational(-1 if negative else 1) * SqrtRational.sqrt(radicand)
         with localcontext() as ctx:
             ctx.prec = 60
             value = Decimal(radicand.numerator).sqrt() / Decimal(radicand.denominator).sqrt()

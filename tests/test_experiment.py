@@ -148,6 +148,40 @@ class TestDesignMatrix:
         assert not np.array_equal(design_matrix(settings, CaptureMode.OAM), design)
         assert simulate_counts(settings, model, 3) != records
 
+    def test_kept_matrix_follows_a_closed_form_patched_in(self, monkeypatch):
+        # One settings list, so the second call has the kept matrix's
+        # settings and mode; only the coefficient rows differ.
+        settings = cube_settings(5)
+        before = design_matrix(settings, CaptureMode.OAM)
+        assert design_matrix(settings, CaptureMode.OAM) is before
+        wrong_closed_form = _patch_wrong_j1_closed_form(monkeypatch)
+        after = design_matrix(settings, CaptureMode.OAM)
+        unit = CaptureModel.uniform(CaptureMode.OAM)
+        patched = np.array(
+            [[float(wrong_closed_form(ch, s.pol, unit).value) for ch in OAM_CHANNELS] for s in settings]
+        )
+        assert np.max(np.abs(after - patched)) <= 1e-15
+        assert np.array_equal(after[:, [0, 2]], before[:, [0, 2]])
+        assert not np.array_equal(after[:, 1], before[:, 1])
+
+    def test_kept_matrix_is_rebuilt_for_other_settings_or_mode(self):
+        settings = cube_settings(3)
+        oam = design_matrix(settings, CaptureMode.OAM)
+        assert design_matrix(settings, CaptureMode.ORDINARY).shape == (27, 2)
+        # Equal settings that are other objects are another key.
+        copies = [MeasurementSetting(s.pol, s.exposure, s.depth) for s in settings]
+        again = design_matrix(copies, CaptureMode.OAM)
+        assert again is not oam
+        assert np.array_equal(again, oam)
+        assert design_matrix(settings[:-1], CaptureMode.OAM).shape == (26, 3)
+
+    def test_matrix_refuses_writes(self):
+        design = design_matrix(cube_settings(3), CaptureMode.OAM)
+        with pytest.raises(ValueError, match="read-only"):
+            design[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            design *= 2
+
 
 class TestFitting:
     def test_noiseless_recovery_is_exact(self):
@@ -238,11 +272,20 @@ class TestFitting:
         assert np.array_equal(result.covariance, reference.covariance)
         assert result.residual_norm == reference.residual_norm
 
+    # The CLI refuses such counts files at their header; a library caller
+    # that builds records itself meets these checks.
     def test_channel_resolved_requires_channel_counts(self):
         records = [CountRecord(setting(0, 0, 0), 10, 5), CountRecord(setting(1, 1, 1), 10, 5)]
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as caught:
             fit_strengths(records + [CountRecord(setting(1, -1, 1), 3, 5)],
                           CaptureMode.OAM, channel_resolved=True)
+        assert str(caught.value) == "channel-resolved fitting needs channel_counts on every record"
+
+    def test_channel_resolved_requires_one_count_per_channel(self):
+        records = [CountRecord(setting(p, 1, 1), 10, 5, (4, 6)) for p in (0, 1, -1)]
+        with pytest.raises(DomainError) as caught:
+            fit_strengths(records, CaptureMode.OAM, channel_resolved=True)
+        assert str(caught.value) == "record 0 has 2 channel counts, but oam mode has 3 channels"
 
     def test_json_shape(self):
         settings = cube_settings(3)
@@ -494,6 +537,20 @@ class TestFileFormats:
     def test_counts_header_enforced(self):
         with pytest.raises(DomainError):
             read_counts_csv(io.StringIO("x,y\n1,2\n"), [])
+
+    @pytest.mark.parametrize(
+        ("columns", "has"),
+        [("", "none"), (",capture_j1,capture_j0", "capture_j0, capture_j1")],
+        ids=["none", "too-few"],
+    )
+    def test_counts_reader_checks_the_channel_columns_of_a_mode(self, columns, has):
+        text = f"setting_id,capture,transmitted{columns}\n"
+        with pytest.raises(DomainError) as caught:
+            read_counts_csv(io.StringIO(text), [setting(0, 0, 0)], CaptureMode.OAM)
+        assert str(caught.value) == (
+            "counts file, line 1: a channel-resolved oam fit needs columns "
+            f"capture_j0, capture_j1, capture_j2; the header has {has}"
+        )
 
     def test_counts_bad_setting_id(self):
         text = "setting_id,capture,transmitted\n7,1,1\n"
