@@ -1134,20 +1134,20 @@ class TestInputsKeptAcrossCalls:
         return run(capsys, *argv)
 
     def test_a_rewritten_settings_file_is_read_anew(self, capsys, monkeypatch):
+        simulate = [*self.SIMULATE, "--channel-resolved", "--out", "c.csv"]
+        fit = [*self.FIT, "--channel-resolved"]
         Path("s.csv").write_text(README_SETTINGS_CSV)
-        first = run(capsys, *self.SIMULATE, "--channel-resolved")
+        assert run(capsys, *simulate) == (0, "", "")
+        before = Path("c.csv").read_text()
         # The same size, so only the bytes tell the files apart.
         Path("s.csv").write_text(README_SETTINGS_CSV.replace("1,-1,1,", "1,-1,0,"))
-        second = run(capsys, *self.SIMULATE, "--channel-resolved", "--out", "c.csv")
-        assert second == (0, "", "")
-        counts = Path("c.csv").read_text()
-        assert counts.splitlines()[2:] != first[1].splitlines()[2:]
-        fit = run(capsys, *self.FIT, "--channel-resolved")
-        assert self._with_nothing_kept(
-            capsys, monkeypatch, *self.SIMULATE, "--channel-resolved", "--out", "c.csv"
-        ) == second
-        assert Path("c.csv").read_text() == counts
-        assert self._with_nothing_kept(capsys, monkeypatch, *self.FIT, "--channel-resolved") == fit
+        assert run(capsys, *simulate) == (0, "", "")
+        after = Path("c.csv").read_text()
+        fitted = run(capsys, *fit)
+        assert after != before
+        assert self._with_nothing_kept(capsys, monkeypatch, *simulate) == (0, "", "")
+        assert Path("c.csv").read_text() == after
+        assert self._with_nothing_kept(capsys, monkeypatch, *fit) == fitted
 
     def test_a_malformed_file_is_refused_at_every_call(self, capsys):
         Path("s.csv").write_text(README_SETTINGS_CSV)
