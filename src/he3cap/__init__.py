@@ -7,7 +7,7 @@ transmission simulation).
 
 The package root carries only the names of the README's library example;
 everything else is imported from its module (he3cap.experiment,
-he3cap.levels, ...).  Importing the root loads neither numpy nor scipy.
+he3cap.levels, ...).  Importing the root does not load numpy.
 """
 
 from .angular import cg

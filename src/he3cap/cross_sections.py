@@ -139,16 +139,6 @@ class CaptureModel:
         count = len(channels_for(mode))
         return cls(mode, (as_fraction(strength),) * count)
 
-    @classmethod
-    def ordinary(cls, singlet: RationalLike = 1, triplet: RationalLike = 1) -> CaptureModel:
-        return cls(CaptureMode.ORDINARY, (as_fraction(singlet), as_fraction(triplet)))
-
-    @classmethod
-    def oam(
-        cls, k0: RationalLike = 1, k1: RationalLike = 1, k2: RationalLike = 1
-    ) -> CaptureModel:
-        return cls(CaptureMode.OAM, (as_fraction(k0), as_fraction(k1), as_fraction(k2)))
-
     @property
     def channels(self) -> tuple[Channel, ...]:
         return channels_for(self.mode)

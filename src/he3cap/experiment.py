@@ -56,7 +56,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, combinations, repeat
 from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -241,16 +241,63 @@ def _describe_null_combination(
     }
 
 
+def _nnls(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, float]:
+    """The x >= 0 that minimizes ||design @ x - response||, and that least norm.
+
+    The design must have full column rank.  The optimum is the least-squares
+    solution on its own support (Lawson & Hanson, Solving Least Squares
+    Problems, 1974, ch. 23), and with full column rank it is the only point
+    that meets the optimality conditions: x > 0 on the support and a
+    gradient design.T @ (response - design @ x) <= 0 off it.  With two or
+    three columns there are at most eight supports, so they are walked from
+    largest to smallest and the first that meets the conditions is returned.
+    Every support is solved on the QR factors (R, Q.T @ response) of one
+    factorization.
+    """
+    # Both sides are scaled by powers of two, exactly, to a largest entry
+    # near 1, so that no norm below underflows or overflows.
+    design_exponent = math.frexp(np.abs(design).max())[1]
+    response_exponent = math.frexp(np.abs(response).max())[1]
+    design = np.ldexp(design, -design_exponent)
+    response = np.ldexp(response, -response_exponent)
+    q, r = np.linalg.qr(design)
+    projected = q.T @ response
+    columns = range(r.shape[1])
+    # A channel without data, or one the other channels explain, has zero
+    # strength and zero gradient at the optimum, and roundoff gives each
+    # either sign.  A gradient below gradient_tolerance counts as zero.  So
+    # does a strength below strength_tolerance: dropping it from the support
+    # leaves a gradient of at most strength * norm(r)**2 < gradient_tolerance.
+    roundoff = 10 * max(design.shape) * np.finfo(float).eps * np.linalg.norm(response)
+    r_norm = np.linalg.norm(r)
+    gradient_tolerance = roundoff * r_norm
+    strength_tolerance = roundoff / r_norm
+    sizes = range(len(columns), 0, -1)
+    for support in map(list, chain.from_iterable(combinations(columns, k) for k in sizes)):
+        strengths = np.zeros(len(columns))
+        strengths[support] = np.linalg.lstsq(r[:, support], projected)[0]
+        gradient = r.T @ (projected - r @ strengths)
+        off = [column for column in columns if column not in support]
+        if (strengths[support] > strength_tolerance).all() and (
+            gradient[off] <= gradient_tolerance
+        ).all():
+            break
+    else:
+        # The walk ruled out every nonempty support, so the optimum is x = 0.
+        strengths = np.zeros(len(columns))
+    residual = np.linalg.norm(design @ strengths - response)
+    return (
+        np.ldexp(strengths, response_exponent - design_exponent),
+        math.ldexp(residual, response_exponent),
+    )
+
+
 def _weighted_nnls(
     design: np.ndarray,
     response: np.ndarray,
     weights: np.ndarray,
     channels: tuple[Channel, ...],
 ) -> FitResult:
-    # scipy is imported here, in the one place it runs, so that commands
-    # which never fit do not pay for importing it.
-    from scipy.optimize import nnls
-
     sqrt_weights = np.sqrt(weights)
     scaled_design = design * sqrt_weights[:, None]
     scaled_response = response * sqrt_weights
@@ -265,7 +312,9 @@ def _weighted_nnls(
             combination,
         )
 
-    strengths, residual = nnls(scaled_design, scaled_response)
+    if not np.isfinite(scaled_response).all():
+        raise DomainError("rates and weights must be finite")
+    strengths, residual = _nnls(scaled_design, scaled_response)
 
     covariance = np.zeros((len(channels), len(channels)))
     free = strengths > 0

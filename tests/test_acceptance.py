@@ -232,7 +232,7 @@ def test_criterion_08_strength_recovery():
 
     # Poisson: ~1e6 total counts, truth (1, 2, 1/2); every strength within
     # 3 estimated standard deviations in at least 99 of the 100 fixed seeds.
-    model = CaptureModel.oam(1, 2, "1/2")
+    model = CaptureModel(CaptureMode.OAM, (1, 2, "1/2"))
     truth = np.array([1.0, 2.0, 0.5])
     passes = 0
     total_counts = 0

@@ -1355,6 +1355,35 @@ class TestEntryPoints:
         )
         assert result.stdout == "[]\n"
 
+    def test_fit_runs_without_scipy(self, tmp_path):
+        settings_path, counts_path = tmp_path / "settings.csv", tmp_path / "counts.csv"
+        settings_path.write_text(README_SETTINGS_CSV)
+        counts_path.write_text(
+            "setting_id,capture,transmitted\n0,1325,996690\n1,499,998642\n2,2375,997734\n"
+            "3,1524,997172\n"
+        )
+        argv = ["fit", "--settings", str(settings_path), "--counts", str(counts_path)]
+        argv += ["--mode", "oam"]
+        outputs = []
+        for block in ("", 'sys.modules["scipy"] = None; '):
+            # A fresh interpreter, so nothing imported by the test session
+            # counts; the fit's JSON is followed by its exit code and the
+            # scipy modules it loaded.
+            probe = (
+                f"import sys; {block}from he3cap import cli; code = cli.main({argv!r}); "
+                "print(code, [name for name, module in sys.modules.items() "
+                "if name.partition('.')[0] == 'scipy' and module is not None])"
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+            )
+            outputs.append(result.stdout)
+        fit_json, status, _ = outputs[0].rsplit("\n", 2)
+        assert status == "0 []"
+        assert json.loads(fit_json)["channels"] == ["0-", "1-", "2-"]
+        # With scipy's import blocked, the same fit succeeds byte for byte.
+        assert outputs[1] == outputs[0]
+
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "he3cap", "cg", "1", "+1", "1/2", "-1/2", "3/2", "+1/2"],

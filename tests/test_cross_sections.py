@@ -69,12 +69,12 @@ class TestModelTypes:
 
     def test_model_validation(self):
         with pytest.raises(DomainError):
-            CaptureModel.oam(-1, 1, 1)
+            CaptureModel(CaptureMode.OAM, (-1, 1, 1))
         with pytest.raises(DomainError):
             CaptureModel(CaptureMode.OAM, (Fraction(1), Fraction(1)))
 
     def test_strength_lookup(self):
-        model = CaptureModel.oam(1, 2, 3)
+        model = CaptureModel(CaptureMode.OAM, (1, 2, 3))
         assert model.strength(J1) == 2
         with pytest.raises(ModeMismatchError):
             model.strength(TRIPLET)
@@ -93,13 +93,13 @@ class TestModelTypes:
         # anew finds what the module's own instance does.
         fresh = Channel(HalfInt(2), Parity.ODD)
         assert fresh == J1 and fresh is not J1 and hash(fresh) == hash(J1)
-        assert CaptureModel.oam(1, 2, 3).strength(fresh) == 2
+        assert CaptureModel(CaptureMode.OAM, (1, 2, 3)).strength(fresh) == 2
         assert cross_sections._BRACKETS[fresh] == cross_sections._BRACKETS[J1]
         assert cross_sections._substates(fresh) == cross_sections._substates(J1)
         with pytest.raises(ModeMismatchError):
-            CaptureModel.ordinary(1, 3).strength(fresh)
+            CaptureModel(CaptureMode.ORDINARY, (1, 3)).strength(fresh)
         with pytest.raises(ModeMismatchError):
-            CaptureModel.oam(1, 2, 3).strength(Channel(HalfInt(2), Parity.EVEN))
+            CaptureModel(CaptureMode.OAM, (1, 2, 3)).strength(Channel(HalfInt(2), Parity.EVEN))
 
     def test_a_pickled_channel_is_found_under_another_hash_seed(self):
         # A channel carries its hash, so the hash may not depend on the
@@ -115,7 +115,7 @@ class TestModelTypes:
             env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": source}
             result = subprocess.run(
                 [sys.executable, "-c", script],
-                input=pickle.dumps((J1, CaptureModel.oam(1, 2, 3))),
+                input=pickle.dumps((J1, CaptureModel(CaptureMode.OAM, (1, 2, 3)))),
                 capture_output=True,
                 env=env,
                 check=True,
@@ -189,7 +189,7 @@ class TestOamClosedForm:
 
     def test_strength_scales_linearly(self):
         pol = PolarizationTriple.of("1/2", "-1/3", "1/4")
-        model = CaptureModel.oam(k1=Fraction(7, 3))
+        model = CaptureModel(CaptureMode.OAM, (1, Fraction(7, 3), 1))
         assert (
             oam_closed_form(J1, pol, model).value
             == oam_closed_form(J1, pol, UNIT_OAM).value * Fraction(7, 3)
@@ -249,7 +249,10 @@ class TestTabledOracle:
 
     @pytest.mark.parametrize(
         "model",
-        [CaptureModel.oam(Fraction(7, 3), 2, Fraction(1, 2)), CaptureModel.ordinary(1, 3)],
+        [
+            CaptureModel(CaptureMode.OAM, (Fraction(7, 3), 2, Fraction(1, 2))),
+            CaptureModel(CaptureMode.ORDINARY, (1, 3)),
+        ],
         ids=["oam", "ordinary"],
     )
     def test_field_equal_to_closed_forms_on_extended_cube(self, model):
@@ -362,7 +365,7 @@ class TestSubstateOccupations:
     def test_m_l_zero_is_never_occupied_for_l_one(self):
         # The preparation puts every L = 1 neutron into m_L = +-1, so counting
         # the m_L = 0 entries twice changes no OAM value.
-        models = (UNIT_OAM, CaptureModel.oam(Fraction(7, 3), 2, Fraction(1, 2)))
+        models = (UNIT_OAM, CaptureModel(CaptureMode.OAM, (Fraction(7, 3), 2, Fraction(1, 2))))
         points = [PolarizationTriple(*values) for values in product(grid_values(3), repeat=3)]
         assert oracle_values(models, points, lambda key: key[1] == 0) == oracle_values(
             models, points
@@ -479,7 +482,8 @@ class TestTotals:
 
     def test_zero_model(self):
         pol = PolarizationTriple.of("1/2", "1/2", "1/2")
-        assert sections_total(channel_cross_sections(pol, CaptureModel.oam(0, 0, 0))).is_zero
+        model = CaptureModel(CaptureMode.OAM, (0, 0, 0))
+        assert sections_total(channel_cross_sections(pol, model)).is_zero
 
     @given(triples)
     @settings(max_examples=40, deadline=None)
@@ -493,9 +497,9 @@ class TestTotals:
 
     def test_fractions_undefined_for_zero_total(self):
         for pol, model in [
-            (PolarizationTriple.of(0, 0, 0), CaptureModel.oam(0, 0, 0)),
-            (PolarizationTriple.of(1, 1, 1), CaptureModel.oam(1, 1, 0)),
-            (PolarizationTriple.of(-1, "1/2", -1), CaptureModel.ordinary(1, 0)),
+            (PolarizationTriple.of(0, 0, 0), CaptureModel(CaptureMode.OAM, (0, 0, 0))),
+            (PolarizationTriple.of(1, 1, 1), CaptureModel(CaptureMode.OAM, (1, 1, 0))),
+            (PolarizationTriple.of(-1, "1/2", -1), CaptureModel(CaptureMode.ORDINARY, (1, 0))),
         ]:
             with pytest.raises(DomainError, match=re.escape(f"zero at {pol};")):
                 channel_fractions(pol, model)
@@ -522,11 +526,11 @@ class TestFractionRows:
     @pytest.mark.parametrize(
         "model",
         [
-            CaptureModel.oam(1, 1, 1),
-            CaptureModel.oam("7/3", 2, "1/2"),
-            CaptureModel.oam(0, 5, "3/11"),
-            CaptureModel.ordinary(1, 3),
-            CaptureModel.ordinary("7/3", 0),
+            CaptureModel(CaptureMode.OAM, (1, 1, 1)),
+            CaptureModel(CaptureMode.OAM, ("7/3", 2, "1/2")),
+            CaptureModel(CaptureMode.OAM, (0, 5, "3/11")),
+            CaptureModel(CaptureMode.ORDINARY, (1, 3)),
+            CaptureModel(CaptureMode.ORDINARY, ("7/3", 0)),
         ],
         ids=lambda model: f"{model.mode.value}-{','.join(map(str, model.strengths))}",
     )
@@ -565,11 +569,11 @@ class TestFractionRows:
         # The 0- channel alone vanishes wherever all three polarizations align.
         pols = [PolarizationTriple.of(*signs) for signs in ((0, 0, 0), (1, 1, 1), (-1, -1, -1))]
         with pytest.raises(DomainError, match=re.escape("zero at (p=1, P_L=1, P_N=1);")):
-            _share_rows(pols, CaptureModel.oam(1, 0, 0))
+            _share_rows(pols, CaptureModel(CaptureMode.OAM, (1, 0, 0)))
 
     def test_channel_fractions_agree_with_the_integer_shares(self):
         pol = PolarizationTriple.of("1/3", "-2/7", "5/6")
-        model = CaptureModel.oam("7/3", 2, "1/2")
+        model = CaptureModel(CaptureMode.OAM, ("7/3", 2, "1/2"))
         (row,) = _share_rows([pol], model)
         assert channel_fractions(pol, model) == tuple(zip(OAM_CHANNELS, row))
 

@@ -5,6 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from he3cap import cross_sections, experiment
 from he3cap.cross_sections import (
@@ -183,6 +187,104 @@ class TestDesignMatrix:
             design *= 2
 
 
+# K_hat, covariance and residual_norm of fits of simulate_counts(settings,
+# K = (1, 2, 1/2), seed) as scipy.optimize.nnls solved them, keyed by
+# (settings, seed, channel-resolved): the README's four settings, and the 5^3
+# grid at exposure 6.5e7 and depth 1e-4.
+RECORDED_FITS = {
+    ("readme", 7, False): (
+        (0.9138672832803123, 2.0296555768689233, 0.499),
+        (
+            (0.23284692234659946, -0.06398828001047936, 0.0018711479082658918),
+            (-0.06398828001047936, 0.018874169368794973, -0.0007276913180443141),
+            (0.0018711479082658934, -0.0007276913180443144, 0.000499),
+        ),
+        1.2914215502751065,
+    ),
+    ("readme", 7, True): (
+        (0.9605730208127018, 2.0306265638516616, 0.4835610009941397),
+        (
+            (0.0017076853703336923, 0.0, 0.0),
+            (0.0, 0.0009719378109091717, 0.0),
+            (0.0, 0.0, 0.0002495798714808463),
+        ),
+        1.811135773949227,
+    ),
+    ("grid5", 1, False): (
+        (0.9990961353881378, 2.000930795503932, 0.4976496350161548),
+        (
+            (0.0006558674330052336, -0.00011935493410382945, 1.5003610600387413e-05),
+            (-0.00011935493410382943, 3.410908006331742e-05, -1.1149467520803407e-05),
+            (1.5003610600387397e-05, -1.1149467520803404e-05, 1.1848619365242014e-05),
+        ),
+        11.026935439871599,
+    ),
+    ("grid5", 1, True): (
+        (1.0053346920071102, 1.9988137219758928, 0.4983712864158114),
+        (
+            (1.4848020066566555e-05, 0.0, 0.0),
+            (0.0, 4.920156854094508e-06, 0.0),
+            (0.0, 0.0, 1.4721121075667036e-06),
+        ),
+        17.746635942981133,
+    ),
+    ("grid5", 2, False): (
+        (1.0319826074675553, 1.9912427268902724, 0.5052135636081682),
+        (
+            (0.0006569652765524468, -0.0001195111375788811, 1.5068627640072133e-05),
+            (-0.00011951113757888111, 3.418513916924151e-05, -1.1238114817114639e-05),
+            (1.506862764007222e-05, -1.1238114817114653e-05, 1.1964335394258042e-05),
+        ),
+        11.957339741589985,
+    ),
+    ("grid5", 2, True): (
+        (0.995505817239153, 1.99990058071643, 0.5014138602286382),
+        (
+            (1.4702855146916728e-05, 0.0, 0.0),
+            (0.0, 4.922832198686599e-06, 0.0),
+            (0.0, 0.0, 1.4810994025215155e-06),
+        ),
+        19.541377727251742,
+    ),
+    ("grid5", 3, False): (
+        (1.0278940213641277, 1.9955570763931076, 0.5018687480800709),
+        (
+            (0.0006560487186395675, -0.00011940300399885601, 1.511010187228171e-05),
+            (-0.00011940300399885605, 3.415651825302405e-05, -1.1212652508973418e-05),
+            (1.5110101872281667e-05, -1.121265250897341e-05, 1.1915605707563665e-05),
+        ),
+        11.422095363663537,
+    ),
+    ("grid5", 3, True): (
+        (1.0007988847425202, 2.0006482479709997, 0.5005038310043278),
+        (
+            (1.4781029682351068e-05, 0.0, 0.0),
+            (0.0, 4.924672610390155e-06, 0.0),
+            (0.0, 0.0, 1.4784113161973988e-06),
+        ),
+        18.942641123919294,
+    ),
+}
+
+
+@st.composite
+def nnls_problems(draw):
+    """A full-rank problem of two or three columns, at times with channels pinned at 0."""
+    channels = channels_for(draw(st.sampled_from(CaptureMode)))
+    rows = draw(arrays(float, (draw(st.integers(0, 6)), len(channels)), elements=st.floats(0, 10)))
+    # An identity block keeps every design at full column rank.
+    design = np.vstack([np.eye(len(channels)), rows])
+    # A negative truth pins its channel at 0, and a zero truth without noise
+    # puts it on the boundary with a zero gradient.
+    strengths = st.floats(-1, 3) | st.sampled_from([0.0, -1.0, 1.0, 2.0])
+    truth = draw(arrays(float, len(channels), elements=strengths))
+    # Noise of any normal size; a subnormal response has no precision left
+    # to meet a relative tolerance with.
+    noise = draw(arrays(float, len(design), elements=st.floats(-1, 1, allow_subnormal=False)))
+    response = design @ truth + draw(st.sampled_from([0.0, 1.0])) * noise
+    return design, response, channels
+
+
 class TestFitting:
     def test_noiseless_recovery_is_exact(self):
         settings = cube_settings()
@@ -233,7 +335,7 @@ class TestFitting:
 
     def test_fit_strengths_channel_summed(self):
         settings = cube_settings(exposure=1e6, depth=1e-3)
-        model = CaptureModel.oam(1, 2, "1/2")
+        model = CaptureModel(CaptureMode.OAM, (1, 2, "1/2"))
         records = simulate_counts(settings, model, seed=123)
         result = fit_strengths(records, CaptureMode.OAM)
         errors = result.standard_errors()
@@ -242,7 +344,7 @@ class TestFitting:
 
     def test_fit_strengths_channel_resolved(self):
         settings = cube_settings(exposure=1e6, depth=1e-3)
-        model = CaptureModel.oam(1, 2, "1/2")
+        model = CaptureModel(CaptureMode.OAM, (1, 2, "1/2"))
         records = simulate_counts(settings, model, seed=321)
         result = fit_strengths(records, CaptureMode.OAM, channel_resolved=True)
         for estimate, sigma, true in zip(
@@ -253,7 +355,7 @@ class TestFitting:
     def test_channel_resolved_stacking_matches_a_per_row_loop(self):
         # Reference: one row per (setting, channel), zero but for that channel.
         settings = cube_settings(3, exposure=1e6, depth=1e-3)
-        records = simulate_counts(settings, CaptureModel.oam(1, 2, "1/2"), seed=5)
+        records = simulate_counts(settings, CaptureModel(CaptureMode.OAM, (1, 2, "1/2")), seed=5)
         scale = np.array([s.exposure * s.depth for s in settings])
         design = design_matrix(settings, CaptureMode.OAM) * scale[:, None]
         rows, counts = [], []
@@ -287,6 +389,55 @@ class TestFitting:
             fit_strengths(records, CaptureMode.OAM, channel_resolved=True)
         assert str(caught.value) == "record 0 has 2 channel counts, but oam mode has 3 channels"
 
+    @pytest.mark.parametrize("case", list(RECORDED_FITS), ids="{0[0]}-{0[1]}-{0[2]}".format)
+    def test_fits_agree_with_the_recorded_values(self, case):
+        name, seed, resolved = case
+        if name == "readme":
+            settings = [
+                setting(*pol, exposure=1e6, depth=1e-3)
+                for pol in [(0, 0, 0), (1, 1, 1), (1, -1, 1), ("-1/2", "1/2", "-1/2")]
+            ]
+        else:
+            settings = cube_settings(5, exposure=6.5e7, depth=1e-4)
+        records = simulate_counts(settings, CaptureModel(CaptureMode.OAM, (1, 2, "1/2")), seed)
+        result = fit_strengths(records, CaptureMode.OAM, channel_resolved=resolved)
+        strengths, covariance, residual_norm = RECORDED_FITS[case]
+        np.testing.assert_allclose(result.strengths, strengths, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(result.covariance, covariance, rtol=1e-12, atol=0)
+        assert result.residual_norm == pytest.approx(residual_norm, rel=1e-12, abs=0)
+
+    @given(nnls_problems())
+    @hypothesis_settings(deadline=None)
+    def test_solution_meets_the_optimality_conditions(self, problem):
+        design, response, channels = problem
+        result = experiment._weighted_nnls(design, response, np.ones(len(design)), channels)
+        strengths = np.array(result.strengths)
+        gradient = design.T @ (response - design @ strengths)
+        # From the largest entries, which unlike 2-norms cannot underflow.
+        tolerance = 1e-9 * len(design) * np.abs(design).max() * np.abs(response).max()
+        assert (strengths >= 0).all()
+        assert (np.abs(gradient[strengths > 0]) <= tolerance).all()
+        assert (gradient[strengths == 0] <= tolerance).all()
+
+    @pytest.mark.parametrize("scale", [2.0**-700, 1e-200, 1e200])
+    def test_solution_scales_with_the_response(self, scale):
+        # Noiseless, with the 1- channel on the boundary at zero gradient.
+        design = design_matrix(cube_settings(3), CaptureMode.OAM)
+        response = design @ np.array([1.0, 0.0, 0.5])
+        weights = np.ones(len(design))
+        unit = experiment._weighted_nnls(design, response, weights, OAM_CHANNELS)
+        scaled = experiment._weighted_nnls(design, response * scale, weights, OAM_CHANNELS)
+        assert unit.strengths[1] == scaled.strengths[1] == 0
+        assert scaled.strengths == pytest.approx(np.multiply(unit.strengths, scale), rel=1e-12)
+        assert np.array_equal(scaled.covariance, unit.covariance)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rates_are_domain_errors(self, rate):
+        rates = [1.0] * 27
+        rates[5] = rate
+        with pytest.raises(DomainError, match="^rates and weights must be finite$"):
+            fit_rates(cube_settings(3), rates, CaptureMode.OAM)
+
     def test_json_shape(self):
         settings = cube_settings(3)
         rates = design_matrix(settings, CaptureMode.OAM) @ np.array([1.0, 1.0, 1.0])
@@ -309,7 +460,7 @@ class TestSimulation:
 
     def test_zero_strengths_mean_no_captures(self):
         settings = cube_settings(2, exposure=2e4, depth=0.1)
-        records = simulate_counts(settings, CaptureModel.oam(0, 0, 0), 5)
+        records = simulate_counts(settings, CaptureModel(CaptureMode.OAM, (0, 0, 0)), 5)
         assert all(record.capture_counts == 0 for record in records)
         transmitted = np.array([record.transmitted_counts for record in records])
         # Transmission mean equals the exposure; allow 6 sigma of Poisson noise.
@@ -343,7 +494,7 @@ class TestSimulation:
     @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 3, 2**128 + 1])
     @pytest.mark.parametrize(
         "model",
-        [CaptureModel.oam(1, 2, "1/2"), CaptureModel.ordinary(1, 3)],
+        [CaptureModel(CaptureMode.OAM, (1, 2, "1/2")), CaptureModel(CaptureMode.ORDINARY, (1, 3))],
         ids=["oam", "ordinary"],
     )
     def test_simulated_counts_match_a_generator_per_setting(self, seed, model):
@@ -360,7 +511,7 @@ class TestSimulation:
     @pytest.mark.parametrize("seed", [0, 2**64 + 3])
     def test_leading_settings_simulate_as_they_do_alone(self, seed):
         settings = cube_settings(3, exposure=1e5, depth=0.01)
-        model = CaptureModel.oam(1, 2, "1/2")
+        model = CaptureModel(CaptureMode.OAM, (1, 2, "1/2"))
         records = simulate_counts(settings, model, seed)
         for count in (1, 2, 13, 26):
             assert simulate_counts(settings[:count], model, seed) == records[:count]
@@ -423,7 +574,7 @@ class TestSweep:
             discriminability_sweep(1, CaptureModel.uniform(CaptureMode.OAM))
 
     def test_fractions_follow_the_closed_form_in_force(self, monkeypatch):
-        model = CaptureModel.oam("7/3", 2, "1/2")
+        model = CaptureModel(CaptureMode.OAM, ("7/3", 2, "1/2"))
         before = {
             pol: decimals for pol, decimals, _ in _sweep_rows(discriminability_sweep(3, model))
         }
@@ -435,7 +586,10 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "model",
-        [CaptureModel.oam("7/3", 2, "1/2"), CaptureModel.ordinary(1, 3)],
+        [
+            CaptureModel(CaptureMode.OAM, ("7/3", 2, "1/2")),
+            CaptureModel(CaptureMode.ORDINARY, (1, 3)),
+        ],
         ids=["oam", "ordinary"],
     )
     def test_a_point_and_its_flip_agree(self, model):
@@ -445,7 +599,10 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "model",
-        [CaptureModel.oam("7/3", 2, "1/2"), CaptureModel.ordinary(1, 3)],
+        [
+            CaptureModel(CaptureMode.OAM, ("7/3", 2, "1/2")),
+            CaptureModel(CaptureMode.ORDINARY, (1, 3)),
+        ],
         ids=["oam", "ordinary"],
     )
     def test_decimals_render_the_closed_forms_over_their_sum(self, model):
