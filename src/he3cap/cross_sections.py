@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from operator import mul
+from operator import is_, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .angular import HalfInt, cg, coupling_range, projections
@@ -474,14 +474,28 @@ _ANCHORS = (
 )
 
 
+# Per mode, the closed-form bindings in force when u_coefficients last read
+# the anchors (closed_form, ordinary_closed_form, oam_closed_form) and the
+# rows it read.
+_kept_rows: dict[CaptureMode, tuple[tuple[object, object, object], tuple[_Row, ...]]] = {}
+
+
 def u_coefficients(mode: CaptureMode) -> list[_Row]:
     """Each channel's (c0, c1, c2, c3) at K = 1: sigma = c0 + c1*u1 + c2*u2 + c3*u3.
 
     Returned as one row (D, rational, root) per channel, the closed-form
     table's format, over the lowest common denominator D.  The coefficients
-    are read off closed_form at call time, so callers evaluate whatever
-    closed form is in force rather than a copy of it.
+    are read off closed_form, so callers evaluate whatever closed form is in
+    force rather than a copy of it.  The rows read are kept, one entry per
+    mode, keyed on the identities of the module's closed_form,
+    ordinary_closed_form and oam_closed_form: a call finds them again while
+    those bindings are the ones they were read through, and a closed form
+    patched in at any of the three is read afresh on the next call.
     """
+    bindings = (closed_form, ordinary_closed_form, oam_closed_form)
+    kept = _kept_rows.get(mode)
+    if kept is not None and all(map(is_, kept[0], bindings)):
+        return list(kept[1])
     unit = CaptureModel.uniform(mode)
     rows = []
     for channel in channels_for(mode):
@@ -491,6 +505,7 @@ def u_coefficients(mode: CaptureMode) -> list[_Row]:
         rational = tuple(c.a.numerator * (denominator // c.a.denominator) for c in row)
         root = tuple(c.b.numerator * (denominator // c.b.denominator) for c in row)
         rows.append((denominator, rational, root))
+    _kept_rows[mode] = (bindings, tuple(rows))
     return rows
 
 

@@ -10,11 +10,12 @@ settings by how well they complete a design.
 Nothing here evaluates exact closed forms point by point.  Each channel is
 affine in u = (1 - p*P_L, 1 - p*P_N, 1 - P_L*P_N), so its four u-basis
 coefficients, integer numerators over one denominator per channel, are read
-off closed_form at five anchor points when a batch is evaluated
-(cross_sections.u_coefficients).  Float consumers (the design matrix, the
-simulator's cross-sections, the sweep's bracket rows) turn them into one
-matrix product; entries within roundoff of zero are re-decided exactly, so a
-closed channel stays exactly closed and no cross-section comes out negative.
+off closed_form at five anchor points (cross_sections.u_coefficients, which
+keeps them per mode until a closed form is patched in).  Float consumers
+(the design matrix, the simulator's cross-sections, the sweep's bracket
+rows) turn them into one matrix product; entries within roundoff of zero are
+re-decided exactly, so a closed channel stays exactly closed and no
+cross-section comes out negative.
 The sweep reads the coefficients once, and its exact channel fractions come
 from the same integers, as integer shares (P + Q*sqrt(2)) / N computed and
 rendered once per distinct u-vector (cross_sections.channel_share_numerators,
@@ -31,21 +32,30 @@ rate = exposure * d * sum_c D[i, c] * K_c.  Setting i of a simulation draws
 from the PCG64 stream that numpy seeds from SeedSequence(entropy=seed,
 spawn_key=(i,)); the streams of all settings are derived in one pass
 (seeding.pcg64_states, which restates numpy's derivation) and drawn through
-one Generator.
+one Generator, whose state is set from one reused dict.  The simulator's
+draws need no check, so it builds its CountRecords without one.
 
-design_matrix keeps the last matrix it built, one entry per process, and
-returns it read-only.  Its key is the mode, the rows u_coefficients(mode)
-returns at the call, and the identity of every setting in order, so a
-closed form patched in is seen on the next call.  The CLI keeps the last
-settings file it parsed, keyed on the file's bytes, and hands the same
-setting objects to simulate and fit; a process that calls cli.main
-repeatedly on one file parses it and builds its design matrix once.  The
-sweep builds its own rows and does not use the kept matrix.
+Three things are kept between calls of a process.  u_coefficients keeps the
+rows it read, one entry per mode, keyed on the identities of the bindings
+cross_sections.closed_form, ordinary_closed_form and oam_closed_form, so a
+closed form patched in at any of them is read on the next call and the
+original is read again once the patch is undone.  design_matrix keeps the
+last matrix it built, one entry per process, and returns it read-only; its
+key is the mode, the rows u_coefficients(mode) returns at the call (on a hit,
+the kept rows themselves, so the comparison is one identity check per row),
+and the identity of every setting in order.  The CLI keeps the last settings
+file it parsed, keyed on the file's bytes, and hands the same setting
+objects to simulate and fit.  A process that calls cli.main repeatedly on
+one file parses it, reads the coefficients and builds its design matrix
+once.  The sweep builds its own rows and does not use the kept matrix.
 
 The settings and counts readers take csv.reader rows of the file's data
 lines: the header is checked once, columns are found by position once, and
 a row of the wrong length is located by its line.  The settings reader
-parses each distinct polarization text once per file.
+parses each distinct polarization text once per file.  The counts reader
+converts a row's integers in one step and checks them together; a row with
+any fault is read again cell by cell, which names the first fault as the
+CountRecord checks would.
 """
 
 from __future__ import annotations
@@ -127,6 +137,22 @@ class CountRecord:
                 raise DomainError("channel counts must sum to the total captures")
 
 
+def _unchecked_record(
+    setting: MeasurementSetting,
+    capture_counts: int,
+    transmitted_counts: int,
+    channel_counts: tuple[int, ...] | None,
+) -> CountRecord:
+    """A CountRecord of counts its caller has already checked, built without __post_init__."""
+    record = object.__new__(CountRecord)
+    fields = record.__dict__
+    fields["setting"] = setting
+    fields["capture_counts"] = capture_counts
+    fields["transmitted_counts"] = transmitted_counts
+    fields["channel_counts"] = channel_counts
+    return record
+
+
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Recovered strength constants with covariance over the free components."""
@@ -205,7 +231,9 @@ def design_matrix(settings: Sequence[MeasurementSetting], mode: CaptureMode) -> 
     The last matrix built is kept, and returned again when the mode, the rows
     u_coefficients(mode) returns at this call, and every setting (by
     identity, in order) are those it was built for.  A closed form patched in
-    since then changes the rows, so it is seen on the next call.
+    since then changes the rows, so it is seen on the next call.  While no
+    closed form is patched, u_coefficients returns its kept rows, and the
+    key's check costs one identity comparison per row and per setting.
     """
     global _kept_design
     if not settings:
@@ -298,6 +326,9 @@ def _weighted_nnls(
     weights: np.ndarray,
     channels: tuple[Channel, ...],
 ) -> FitResult:
+    # Checked before LAPACK sees them: on a NaN it prints to stderr and fails.
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise DomainError("weights must be finite and nonnegative")
     sqrt_weights = np.sqrt(weights)
     scaled_design = design * sqrt_weights[:, None]
     scaled_response = response * sqrt_weights
@@ -320,7 +351,16 @@ def _weighted_nnls(
     free = strengths > 0
     if free.any():
         free_design = scaled_design[:, free]
-        covariance[np.ix_(free, free)] = np.linalg.inv(free_design.T @ free_design)
+        try:
+            inverse = np.linalg.inv(free_design.T @ free_design)
+        except np.linalg.LinAlgError:  # the normal matrix underflowed to singular
+            inverse = None
+        if inverse is None or not np.isfinite(inverse).all():
+            raise DomainError(
+                "the fit's covariance is beyond the float range; "
+                "exposure * depth is too small to fit these counts"
+            )
+        covariance[np.ix_(free, free)] = inverse
     return FitResult(channels, tuple(float(v) for v in strengths), covariance, float(residual))
 
 
@@ -431,19 +471,18 @@ def simulate_counts(
     )
     sigma_rows = design_matrix(settings, model.mode) * strengths
     states = pcg64_states(seed, np.arange(len(settings), dtype=np.uint64))
-    # Seeded so that it draws no OS entropy; each setting sets its state.
+    # Seeded so that it draws no OS entropy; each setting sets its state
+    # through one dict, which the setter reads and does not keep.
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
+    stream = {"state": 0, "inc": 0}
+    generator_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     records = []
     for index, (setting, sigmas, (state, inc)) in enumerate(
         zip(settings, sigma_rows.tolist(), states)
     ):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        stream["state"], stream["inc"] = state, inc
+        bit_generator.state = generator_state
         sigma_total = sum(sigmas)
         if sigma_total == math.inf:
             raise DomainError(f"setting {index}: the total cross-section is too large for a float")
@@ -455,7 +494,8 @@ def simulate_counts(
         else:
             split = (0,) * len(channels)
         transmitted = int(rng.poisson(setting.exposure * transmission))
-        records.append(CountRecord(setting, captures, transmitted, split))
+        # Poisson draws are nonnegative and the split sums to the captures.
+        records.append(_unchecked_record(setting, captures, transmitted, split))
     return records
 
 
@@ -853,8 +893,32 @@ def read_counts_csv(
     position = {name: index for index, name in enumerate(fields)}
     setting_at, capture_at, transmitted_at = (position[name] for name in COUNTS_HEADER)
     channels_at = [(position[name], name) for name in channel_columns]
+    cells = operator.itemgetter(
+        setting_at, capture_at, transmitted_at, *(index for index, _ in channels_at)
+    )
+    setting_count = len(settings)
+    largest_count = sys.float_info.max
 
     def parse(row: list[str]) -> CountRecord:
+        # A good row is read in one step; a row with any fault is read again
+        # by checked, which finds the first fault and names it.
+        try:
+            setting_id, *counts = map(int, cells(row))
+        except ValueError:
+            return checked(row)
+        capture, transmitted, *channel = counts
+        if (
+            0 <= setting_id < setting_count
+            and 0 <= min(counts)
+            and max(counts) <= largest_count
+            and (not channel or sum(channel) == capture)
+        ):
+            return _unchecked_record(
+                settings[setting_id], capture, transmitted, tuple(channel) if channels_at else None
+            )
+        return checked(row)
+
+    def checked(row: list[str]) -> CountRecord:
         setting_id = _cell(row[setting_at], "setting_id", int)
         if not 0 <= setting_id < len(settings):
             raise DomainError(f"setting_id {setting_id} has no matching setting")

@@ -999,6 +999,44 @@ class TestSimulateAndFit:
         )
 
     @pytest.mark.parametrize(
+        ("flags", "counts"),
+        [
+            ([], "0,1325,996690\n1,499,998642\n2,2375,997734\n3,1524,997172\n"),
+            (
+                ["--channel-resolved"],
+                "0,1325,996690,87,1040,198\n1,499,998642,0,0,499\n"
+                "2,2375,997734,314,1982,79\n3,1524,997172,140,1222,162\n",
+            ),
+        ],
+        ids=["summed", "channel-resolved"],
+    )
+    def test_covariance_beyond_the_float_range_is_domain_error(
+        self, capsys, tmp_path, flags, counts
+    ):
+        # The README's settings and counts, at exposure * depth = 1e-200: K_hat
+        # is near 1e203, and the normal matrix of the scaled design underflows.
+        settings_path = tmp_path / "settings.csv"
+        settings_path.write_text(README_SETTINGS_CSV.replace("1000000,0.001", "1e-100,1e-100"))
+        header = "setting_id,capture,transmitted"
+        if flags:
+            header += ",capture_j0,capture_j1,capture_j2"
+        counts_path = tmp_path / "counts.csv"
+        counts_path.write_text(f"{header}\n{counts}")
+        code, out, err = run(
+            capsys,
+            "fit",
+            "--settings", str(settings_path),
+            "--counts", str(counts_path),
+            "--mode", "oam",
+            *flags,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the fit's covariance is beyond the float range; "
+            "exposure * depth is too small to fit these counts\n"
+        )
+
+    @pytest.mark.parametrize(
         ("point", "k", "message"),
         [
             ("0,0,0", "1,1e400,1", "strength K[1-] is above 1.79769e+308, the largest float"),
@@ -1117,8 +1155,9 @@ GRID5_SETTINGS_CSV = "p,P_L,P_N,exposure,depth\n" + "".join(
 class TestInputsKeptAcrossCalls:
     """A process that calls cli.main again sees each input file as it is at that call.
 
-    cli keeps the last settings file it parsed, by its bytes, and experiment
-    the last design matrix it built.
+    cli keeps the last settings file it parsed, by its bytes, experiment
+    the last design matrix it built, and cross_sections the u-coefficients
+    it read per mode.
     """
 
     @pytest.fixture(autouse=True)
@@ -1131,6 +1170,7 @@ class TestInputsKeptAcrossCalls:
     def _with_nothing_kept(self, capsys, monkeypatch, *argv):
         monkeypatch.setattr(cli, "_kept_settings", None)
         monkeypatch.setattr(experiment, "_kept_design", None)
+        monkeypatch.setattr(cross_sections, "_kept_rows", {})
         return run(capsys, *argv)
 
     def test_a_rewritten_settings_file_is_read_anew(self, capsys, monkeypatch):

@@ -734,3 +734,50 @@ class TestAdjudication:
         assert compare_with_oracle(mode, 9).agreement
         assert len(seen) == calls
         assert len(set(seen)) == calls
+
+
+# Every binding a closed form can be patched in at, with a mode that reads it.
+_BINDINGS = [
+    ("closed_form", CaptureMode.OAM),
+    ("closed_form", CaptureMode.ORDINARY),
+    ("ordinary_closed_form", CaptureMode.ORDINARY),
+    ("oam_closed_form", CaptureMode.OAM),
+]
+
+
+class TestKeptCoefficients:
+    """u_coefficients keeps its rows per mode, keyed on the three closed-form bindings."""
+
+    @pytest.mark.parametrize(("name", "mode"), _BINDINGS)
+    def test_a_patch_at_each_binding_is_read_and_undone(self, monkeypatch, name, mode):
+        table = [cross_sections._BRACKETS[channel] for channel in channels_for(mode)]
+        assert cross_sections.u_coefficients(mode) == table
+        # One more unit of the last channel everywhere is one more unit of its c0.
+        last = channels_for(mode)[-1]
+        shifted = _faulted(getattr(cross_sections, name), last, lambda pol: QuadRational.one())
+        monkeypatch.setattr(cross_sections, name, shifted)
+        denominator, (c0, *slopes), root = table[-1]
+        patched = (denominator, (c0 + denominator, *slopes), root)
+        assert cross_sections.u_coefficients(mode) == [*table[:-1], patched]
+        monkeypatch.undo()
+        assert cross_sections.u_coefficients(mode) == table
+
+    @pytest.mark.parametrize("mode", list(CaptureMode), ids=lambda mode: mode.value)
+    def test_kept_rows_read_no_closed_form(self, monkeypatch, mode):
+        original = cross_sections.closed_form
+        seen = []
+
+        def counted(channel, pol, model):
+            seen.append(channel)
+            return original(channel, pol, model)
+
+        monkeypatch.setattr(cross_sections, "closed_form", counted)
+        first = cross_sections.u_coefficients(mode)
+        # Five anchors per channel, read once for the new binding.
+        assert len(seen) == 5 * len(channels_for(mode))
+        first.clear()
+        for _ in range(3):
+            assert cross_sections.u_coefficients(mode) == [
+                cross_sections._BRACKETS[channel] for channel in channels_for(mode)
+            ]
+        assert len(seen) == 5 * len(channels_for(mode))

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import settings as hypothesis_settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from he3cap import cross_sections, experiment
+from he3cap import cli, cross_sections, experiment
 from he3cap.cross_sections import (
     OAM_CHANNELS,
     CaptureMode,
@@ -81,6 +82,29 @@ def _patch_wrong_j1_closed_form(monkeypatch):
 
     monkeypatch.setattr(cross_sections, "oam_closed_form", wrong_closed_form)
     return wrong_closed_form
+
+
+# Every binding a closed form can be patched in at, with a mode that reads it.
+CLOSED_FORM_BINDINGS = [
+    ("closed_form", CaptureMode.OAM),
+    ("closed_form", CaptureMode.ORDINARY),
+    ("ordinary_closed_form", CaptureMode.ORDINARY),
+    ("oam_closed_form", CaptureMode.OAM),
+]
+
+
+def _patch_shifted_closed_form(monkeypatch, name, mode):
+    """Add 1 to the last channel of mode in the closed form bound at cross_sections.<name>."""
+    original = getattr(cross_sections, name)
+    last = channels_for(mode)[-1]
+
+    def shifted(channel, pol, model):
+        section = original(channel, pol, model)
+        if channel != last:
+            return section
+        return ChannelCrossSection(channel, section.value + QuadRational.one())
+
+    monkeypatch.setattr(cross_sections, name, shifted)
 
 
 class TestSettingTypes:
@@ -167,6 +191,17 @@ class TestDesignMatrix:
         assert np.max(np.abs(after - patched)) <= 1e-15
         assert np.array_equal(after[:, [0, 2]], before[:, [0, 2]])
         assert not np.array_equal(after[:, 1], before[:, 1])
+
+    @pytest.mark.parametrize(("name", "mode"), CLOSED_FORM_BINDINGS)
+    def test_kept_matrix_follows_each_closed_form_binding(self, monkeypatch, name, mode):
+        settings = cube_settings(3)
+        before = design_matrix(settings, mode)
+        _patch_shifted_closed_form(monkeypatch, name, mode)
+        after = design_matrix(settings, mode)
+        assert np.array_equal(after[:, :-1], before[:, :-1])
+        assert np.allclose(after[:, -1], before[:, -1] + 1, rtol=0, atol=1e-15)
+        monkeypatch.undo()
+        assert np.array_equal(design_matrix(settings, mode), before)
 
     def test_kept_matrix_is_rebuilt_for_other_settings_or_mode(self):
         settings = cube_settings(3)
@@ -431,6 +466,17 @@ class TestFitting:
         assert scaled.strengths == pytest.approx(np.multiply(unit.strengths, scale), rel=1e-12)
         assert np.array_equal(scaled.covariance, unit.covariance)
 
+    @pytest.mark.parametrize("weight", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_weights_are_refused_before_lapack(self, capfd, weight):
+        # LAPACK prints to stderr on a NaN and fails, so no such weight may reach it.
+        settings = cube_settings(3)
+        rates = design_matrix(settings, CaptureMode.OAM) @ np.array([1.0, 2.0, 0.5])
+        weights = [1.0] * len(settings)
+        weights[3] = weight
+        with pytest.raises(DomainError, match="^weights must be finite and nonnegative$"):
+            fit_rates(settings, rates, CaptureMode.OAM, weights=weights)
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_rates_are_domain_errors(self, rate):
         rates = [1.0] * 27
@@ -515,6 +561,43 @@ class TestSimulation:
         records = simulate_counts(settings, model, seed)
         for count in (1, 2, 13, 26):
             assert simulate_counts(settings[:count], model, seed) == records[:count]
+
+    @pytest.mark.parametrize(("name", "mode"), CLOSED_FORM_BINDINGS)
+    def test_simulation_follows_each_closed_form_binding(self, monkeypatch, name, mode):
+        settings = cube_settings(3, exposure=1e6, depth=1e-3)
+        model = CaptureModel.uniform(mode)
+        records = simulate_counts(settings, model, 5)
+        _patch_shifted_closed_form(monkeypatch, name, mode)
+        assert simulate_counts(settings, model, 5) != records
+        monkeypatch.undo()
+        assert simulate_counts(settings, model, 5) == records
+
+    @given(
+        seed=st.integers(0, 2**130),
+        mode=st.sampled_from(CaptureMode),
+        strengths=st.lists(st.sampled_from([0, 1, 2, "1/2", "7/3"]), min_size=3, max_size=3),
+        exposure=st.sampled_from([1.0, 40.0, 1e4, 1e7]),
+        depth=st.sampled_from([1e-4, 0.05, 1.0, 30.0]),
+    )
+    @hypothesis_settings(max_examples=40, deadline=None)
+    def test_records_match_the_constructor(self, seed, mode, strengths, exposure, depth):
+        settings = cube_settings(3, exposure=exposure, depth=depth)
+        model = CaptureModel(mode, strengths[: len(channels_for(mode))])
+        for record in simulate_counts(settings, model, seed):
+            fields = (
+                record.setting,
+                record.capture_counts,
+                record.transmitted_counts,
+                record.channel_counts,
+            )
+            rebuilt = CountRecord(*fields)
+            assert type(record) is CountRecord
+            assert record == rebuilt
+            assert hash(record) == hash(rebuilt)
+            assert vars(record) == vars(rebuilt)
+            # The constructor still checks what the simulator does not.
+            with pytest.raises(DomainError, match="must sum to the total captures"):
+                CountRecord(record.setting, record.capture_counts + 1, *fields[2:])
 
     @pytest.mark.parametrize("seed", [-1, -(2**70)])
     def test_negative_seed_is_domain_error(self, seed):
@@ -818,6 +901,38 @@ COUNTS_FILE_CASES = {
         COUNTS_HEADER + ",setting_id\n0,5,10,2\n",
         "{path}, line 1: column setting_id appears more than once",
     ),
+    "non-ascii-digits": (COUNTS_HEADER + "\n0,\u0663,1_0\n", [(0, 3, 10, None)]),
+    # A row with two faults is refused for the one met first: the setting,
+    # then each cell as an integer (channel cells first), then the signs of
+    # the standard counts, of the channel counts, and the channel sum.
+    "unknown-setting-and-bad-cell": (
+        COUNTS_HEADER + "\n0,5,10\n9,-1,x\n",
+        "{path}, line 3: setting_id 9 has no matching setting",
+    ),
+    "negative-and-bad-cell": (
+        COUNTS_HEADER + "\n0,-1,x\n",
+        "{path}, line 2: column transmitted: malformed value 'x'",
+    ),
+    "negative-and-too-large": (
+        COUNTS_HEADER + "\n0,-1," + "9" * 400 + "\n",
+        "{path}, line 2: column transmitted: count is too large for a float",
+    ),
+    "bad-capture-and-bad-channel-cell": (
+        COUNTS_HEADER + ",capture_j0,capture_j1,capture_j2\n0,x,1,1,y,1\n",
+        "{path}, line 2: column capture_j1: malformed value 'y'",
+    ),
+    "negative-capture-and-channel-sum": (
+        COUNTS_HEADER + ",capture_j0,capture_j1,capture_j2\n0,-1,1,1,1,1\n",
+        "{path}, line 2: counts must be nonnegative",
+    ),
+    "negative-channel-and-channel-sum": (
+        COUNTS_HEADER + ",capture_j0,capture_j1,capture_j2\n0,3,1,-1,2,1\n",
+        "{path}, line 2: channel counts must be nonnegative",
+    ),
+    "channel-sum": (
+        COUNTS_HEADER + ",capture_j0,capture_j1,capture_j2\n0,3,1,1,1,1\n1,3,1,1,1,0\n",
+        "{path}, line 3: channel counts must sum to the total captures",
+    ),
 }
 
 
@@ -854,3 +969,32 @@ class TestFileRows:
         if isinstance(expected, list):
             expected = [CountRecord(settings[index], *counts) for index, *counts in expected]
         assert got == expected
+
+
+class TestCoefficientsKeptAcrossCalls:
+    def test_repeated_rounds_read_no_closed_form(self, monkeypatch, tmp_path):
+        # The 5^3 calibration grid, simulated and fitted in both modes per round.
+        monkeypatch.chdir(tmp_path)
+        values = ("-1", "-1/2", "0", "1/2", "1")
+        rows = [f"{','.join(point)},65000000.0,0.0001\n" for point in product(values, repeat=3)]
+        (tmp_path / "s.csv").write_text("p,P_L,P_N,exposure,depth\n" + "".join(rows))
+        original = cross_sections.closed_form
+        seen = []
+
+        def counted(channel, pol, model):
+            seen.append(channel)
+            return original(channel, pol, model)
+
+        monkeypatch.setattr(cross_sections, "closed_form", counted)
+        per_round = []
+        for seed in ("7", "8", "9"):
+            before = len(seen)
+            for mode, k in (("oam", "1,2,1/2"), ("ordinary", "1,3")):
+                simulate = ["simulate", "--settings", "s.csv", "--mode", mode, "--k", k]
+                fit = ["fit", "--settings", "s.csv", "--counts", "c.csv", "--mode", mode]
+                assert cli.main([*simulate, "--seed", seed, "--out", "c.csv"]) == 0
+                assert cli.main([*fit, "--out", "f.json"]) == 0
+            per_round.append(len(seen) - before)
+        # The first round reads five anchors per channel once per mode: three
+        # OAM channels and two ordinary ones.
+        assert per_round == [25, 0, 0]
