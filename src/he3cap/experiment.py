@@ -903,15 +903,16 @@ def read_counts_csv(
         # A good row is read in one step; a row with any fault is read again
         # by checked, which finds the first fault and names it.
         try:
-            setting_id, *counts = map(int, cells(row))
+            setting_id, capture, transmitted, *channel = map(int, cells(row))
         except ValueError:
             return checked(row)
-        capture, transmitted, *channel = counts
+        # Channel counts that are nonnegative and sum to the captures are at
+        # most the captures, so they are within the float range too.
         if (
             0 <= setting_id < setting_count
-            and 0 <= min(counts)
-            and max(counts) <= largest_count
-            and (not channel or sum(channel) == capture)
+            and 0 <= capture <= largest_count
+            and 0 <= transmitted <= largest_count
+            and (not channel or (min(channel) >= 0 and sum(channel) == capture))
         ):
             return _unchecked_record(
                 settings[setting_id], capture, transmitted, tuple(channel) if channels_at else None
