@@ -470,6 +470,15 @@ def simulate_counts(
         [_float_strength(strength, channel) for strength, channel in zip(model.strengths, channels)]
     )
     sigma_rows = design_matrix(settings, model.mode) * strengths
+    sigma_totals = [sum(sigmas) for sigmas in sigma_rows.tolist()]
+    if math.inf in sigma_totals:
+        index = sigma_totals.index(math.inf)
+        raise DomainError(f"setting {index}: the total cross-section is too large for a float")
+    # Each row's channel shares, or zeros where no channel is open.
+    totals_column = np.array(sigma_totals)[:, None]
+    share_rows = np.divide(
+        sigma_rows, totals_column, out=np.zeros_like(sigma_rows), where=totals_column > 0
+    )
     states = pcg64_states(seed, np.arange(len(settings), dtype=np.uint64))
     # Seeded so that it draws no OS entropy; each setting sets its state
     # through one dict, which the setter reads and does not keep.
@@ -478,18 +487,14 @@ def simulate_counts(
     stream = {"state": 0, "inc": 0}
     generator_state = {"bit_generator": "PCG64", "state": stream, "has_uint32": 0, "uinteger": 0}
     records = []
-    for index, (setting, sigmas, (state, inc)) in enumerate(
-        zip(settings, sigma_rows.tolist(), states)
+    for setting, sigma_total, shares, (state, inc) in zip(
+        settings, sigma_totals, share_rows, states
     ):
         stream["state"], stream["inc"] = state, inc
         bit_generator.state = generator_state
-        sigma_total = sum(sigmas)
-        if sigma_total == math.inf:
-            raise DomainError(f"setting {index}: the total cross-section is too large for a float")
         transmission = math.exp(-setting.depth * sigma_total)
         captures = int(rng.poisson(setting.exposure * (1.0 - transmission)))
         if captures > 0 and sigma_total > 0:
-            shares = [sigma / sigma_total for sigma in sigmas]
             split = tuple(rng.multinomial(captures, shares).tolist())
         else:
             split = (0,) * len(channels)

@@ -1042,8 +1042,14 @@ class TestSimulateAndFit:
             ("0,0,0", "1,1e400,1", "strength K[1-] is above 1.79769e+308, the largest float"),
             # The total bracket at this point is 1 + sqrt(2)/3, so K * total overflows.
             ("1,-1,1", "1.5e308", "setting 0: the total cross-section is too large for a float"),
+            # Unpolarized, the total bracket is 1, so only the second setting overflows.
+            (
+                "0,0,0,100,0.01\n1,-1,1",
+                "1.5e308",
+                "setting 1: the total cross-section is too large for a float",
+            ),
         ],
-        ids=["strength", "total"],
+        ids=["strength", "total", "second-total"],
     )
     def test_strength_too_large_for_a_float_is_domain_error(
         self, capsys, tmp_path, point, k, message
