@@ -445,7 +445,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             meta = _metadata(args)
             sink.write(f"# {meta['command']} | he3cap {meta['version']} | seed={args.seed}\n")
-            write_counts_csv(records, sink, args.mode, channel_resolved=args.channel_resolved)
+            write_counts_csv(records, sink, args.mode if args.channel_resolved else None)
     return EXIT_OK
 
 

@@ -57,7 +57,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .angular import HalfInt, cg, coupling_range, projections
 from .errors import DomainError, ModeMismatchError
-from .exactnum import QuadRational, RationalLike, as_fraction, sqrt_product
+from .exactnum import QuadRational, as_fraction, sqrt_product
 from .polarization import PolarizationTriple
 
 
@@ -135,9 +135,9 @@ class CaptureModel:
         object.__setattr__(self, "_by_channel", dict(zip(channels_for(self.mode), strengths)))
 
     @classmethod
-    def uniform(cls, mode: CaptureMode, strength: RationalLike = 1) -> CaptureModel:
-        count = len(channels_for(mode))
-        return cls(mode, (as_fraction(strength),) * count)
+    def uniform(cls, mode: CaptureMode) -> CaptureModel:
+        """The model with every strength 1."""
+        return cls(mode, (1,) * len(channels_for(mode)))
 
     @property
     def channels(self) -> tuple[Channel, ...]:
@@ -191,11 +191,6 @@ _BRACKETS: dict[Channel, _Row] = {
 def _require_mode(model: CaptureModel, mode: CaptureMode, operation: str) -> None:
     if model.mode is not mode:
         raise ModeMismatchError(f"{operation} requires a {mode.value}-mode model")
-
-
-def _integer_point(pol: PolarizationTriple) -> tuple[int, int, int, int]:
-    """(d, x, y, z) with d the lcm of the three denominators, p = x/d, P_L = y/d, P_N = z/d."""
-    return pol.integer_form[0]
 
 
 _ZERO = Fraction(0)
@@ -390,52 +385,6 @@ def _substate_sums(
     return sums
 
 
-def _contract(
-    channel: Channel, pol: PolarizationTriple, model: CaptureModel
-) -> ChannelCrossSection:
-    """K * sum over the channel's substate table of p(m_N) p(m_L) p(mu) |A|^2.
-
-    The sum comes from _substate_sums at the point's integer form, and one
-    Fraction per part divides out K and its scale.
-    """
-    strength = model.strength(channel)  # rejects channels of the other mode
-    ((rational, root, scale),) = _substate_sums(_dense_tables((channel,)), *_integer_point(pol))
-    k, scale = strength.numerator, strength.denominator * scale
-    value = QuadRational(Fraction(k * rational, scale), Fraction(k * root, scale))
-    return ChannelCrossSection(channel, value)
-
-
-def ordinary_oracle(
-    channel: Channel, pol: PolarizationTriple, model: CaptureModel
-) -> ChannelCrossSection:
-    """Brute-force substate sum for ordinary capture, the L = 0 case of the coupling.
-
-    The neutron carries no orbital momentum, so m_L = 0 with probability 1
-    and the only coupled state is j' = 1/2, which makes
-    sigma = K * sum over (m_N, mu) of p(m_N) p(mu) |<j'' m''|1/2 m_N; 1/2 mu>|^2.
-    The substate table comes from the builder the OAM oracle uses.
-    """
-    _require_mode(model, CaptureMode.ORDINARY, "ordinary_oracle")
-    return _contract(channel, pol, model)
-
-
-def oam_oracle(
-    channel: Channel, pol: PolarizationTriple, model: CaptureModel
-) -> ChannelCrossSection:
-    """Brute-force substate sum for OAM capture, with path interference.
-
-    For each occupied (m_N, m_L, mu) the amplitude into the compound state
-    (j'', m'') adds the j' = 1/2 and j' = 3/2 routes coherently:
-
-        A = sum over j' of <j'' m''|j' m'; 1/2 m_N> <j' m'|1 m_L; 1/2 mu>
-
-    and sigma = K * sum of p(m_N) p(m_L) p(mu) |A|^2, the table's contraction
-    with the occupations.  The table never reads the closed forms.
-    """
-    _require_mode(model, CaptureMode.OAM, "oam_oracle")
-    return _contract(channel, pol, model)
-
-
 def closed_form(
     channel: Channel, pol: PolarizationTriple, model: CaptureModel
 ) -> ChannelCrossSection:
@@ -445,9 +394,31 @@ def closed_form(
 
 
 def oracle(channel: Channel, pol: PolarizationTriple, model: CaptureModel) -> ChannelCrossSection:
-    if model.mode is CaptureMode.ORDINARY:
-        return ordinary_oracle(channel, pol, model)
-    return oam_oracle(channel, pol, model)
+    """Brute-force substate sum for either mode; the closed forms are never read.
+
+    Ordinary capture is the L = 0 case of the coupling.  The neutron carries
+    no orbital momentum, so m_L = 0 with probability 1 and the only coupled
+    state is j' = 1/2, which makes
+    sigma = K * sum over (m_N, mu) of p(m_N) p(mu) |<j'' m''|1/2 m_N; 1/2 mu>|^2.
+
+    OAM capture is the L = 1 case, with path interference.  For each
+    occupied (m_N, m_L, mu) the amplitude into the compound state (j'', m'')
+    adds the j' = 1/2 and j' = 3/2 routes coherently:
+
+        A = sum over j' of <j'' m''|j' m'; 1/2 m_N> <j' m'|1 m_L; 1/2 mu>
+
+    and sigma = K * sum of p(m_N) p(m_L) p(mu) |A|^2.
+
+    One builder makes the substate table of either mode.  The sum is the
+    table's contraction with the occupations at the point's integer form
+    (_substate_sums), and one Fraction per part divides out K and its scale.
+    A channel of the other mode raises ModeMismatchError.
+    """
+    strength = model.strength(channel)  # rejects channels of the other mode
+    ((rational, root, scale),) = _substate_sums(_dense_tables((channel,)), *pol.integer_form[0])
+    k, scale = strength.numerator, strength.denominator * scale
+    value = QuadRational(Fraction(k * rational, scale), Fraction(k * root, scale))
+    return ChannelCrossSection(channel, value)
 
 
 def channel_cross_sections(

@@ -28,7 +28,10 @@ Counting model: a cell of optical-depth coefficient d (per unit strength)
 transmits a fraction T = exp(-d * sigma_total); captures are Poisson with
 mean exposure * (1 - T), split across channels in proportion to their
 cross-sections, and the fit uses the thin-target linearization
-rate = exposure * d * sum_c D[i, c] * K_c.  Setting i of a simulation draws
+rate = exposure * d * sum_c D[i, c] * K_c.  A fit factors its weighted
+design once, by QR, and reads the rank test, the combination a degenerate
+design leaves unidentified, the solution and the free channels' covariance
+off the k x k factor R.  Setting i of a simulation draws
 from the PCG64 stream that numpy seeds from SeedSequence(entropy=seed,
 spawn_key=(i,)); the streams of all settings are derived in one pass
 (seeding.pcg64_states, which restates numpy's derivation) and drawn through
@@ -256,47 +259,27 @@ def design_matrix(settings: Sequence[MeasurementSetting], mode: CaptureMode) -> 
     return matrix
 
 
-def _describe_null_combination(
-    scaled_design: np.ndarray, channels: tuple[Channel, ...]
-) -> dict[str, float]:
-    _, _, vt = np.linalg.svd(scaled_design, full_matrices=True)
-    null_vector = vt[-1]
-    leading = np.max(np.abs(null_vector))
-    return {
-        channel.label: round(float(coefficient / leading), 6)
-        for channel, coefficient in zip(channels, null_vector)
-        if abs(coefficient) > 1e-9 * leading
-    }
+def _nnls(r: np.ndarray, projected: np.ndarray, roundoff: float) -> np.ndarray:
+    """The x >= 0 that minimizes ||r @ x - projected||, on a design's QR factors.
 
-
-def _nnls(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, float]:
-    """The x >= 0 that minimizes ||design @ x - response||, and that least norm.
-
-    The design must have full column rank.  The optimum is the least-squares
-    solution on its own support (Lawson & Hanson, Solving Least Squares
-    Problems, 1974, ch. 23), and with full column rank it is the only point
-    that meets the optimality conditions: x > 0 on the support and a
-    gradient design.T @ (response - design @ x) <= 0 off it.  With two or
-    three columns there are at most eight supports, so they are walked from
-    largest to smallest and the first that meets the conditions is returned.
-    Every support is solved on the QR factors (R, Q.T @ response) of one
-    factorization.
+    r and projected = Q.T @ response come from one QR factorization
+    design = Q @ r of a design of full column rank.  ||design @ x - response||
+    differs from ||r @ x - projected|| by a term free of x, so the two have
+    one minimizer.  It is the least-squares solution on its own support
+    (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23), and with
+    full column rank it is the only point that meets the optimality
+    conditions: x > 0 on the support and a gradient
+    r.T @ (projected - r @ x) <= 0 off it.  With two or three columns there
+    are at most eight supports, so they are walked from largest to smallest
+    and the first that meets the conditions is returned.  roundoff is the
+    size of the rounding error in projected.
     """
-    # Both sides are scaled by powers of two, exactly, to a largest entry
-    # near 1, so that no norm below underflows or overflows.
-    design_exponent = math.frexp(np.abs(design).max())[1]
-    response_exponent = math.frexp(np.abs(response).max())[1]
-    design = np.ldexp(design, -design_exponent)
-    response = np.ldexp(response, -response_exponent)
-    q, r = np.linalg.qr(design)
-    projected = q.T @ response
     columns = range(r.shape[1])
     # A channel without data, or one the other channels explain, has zero
     # strength and zero gradient at the optimum, and roundoff gives each
     # either sign.  A gradient below gradient_tolerance counts as zero.  So
     # does a strength below strength_tolerance: dropping it from the support
     # leaves a gradient of at most strength * norm(r)**2 < gradient_tolerance.
-    roundoff = 10 * max(design.shape) * np.finfo(float).eps * np.linalg.norm(response)
     r_norm = np.linalg.norm(r)
     gradient_tolerance = roundoff * r_norm
     strength_tolerance = roundoff / r_norm
@@ -309,15 +292,9 @@ def _nnls(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, float]:
         if (strengths[support] > strength_tolerance).all() and (
             gradient[off] <= gradient_tolerance
         ).all():
-            break
-    else:
-        # The walk ruled out every nonempty support, so the optimum is x = 0.
-        strengths = np.zeros(len(columns))
-    residual = np.linalg.norm(design @ strengths - response)
-    return (
-        np.ldexp(strengths, response_exponent - design_exponent),
-        math.ldexp(residual, response_exponent),
-    )
+            return strengths
+    # The walk ruled out every nonempty support, so the optimum is x = 0.
+    return np.zeros(len(columns))
 
 
 def _weighted_nnls(
@@ -326,16 +303,43 @@ def _weighted_nnls(
     weights: np.ndarray,
     channels: tuple[Channel, ...],
 ) -> FitResult:
+    """Weighted nonnegative least squares, and the covariance of the free channels.
+
+    The weighted design A is factored once, A = Q @ R, and everything is read
+    off the k x k factor R (Lawson & Hanson, ch. 12): the rank test from R's
+    singular values, which are A's; on a degenerate design, the combination
+    it cannot identify, R's last right singular vector, signed so that its
+    first coefficient of largest magnitude is +1; the support walk of _nnls
+    on (R, Q.T @ response); and the free channels' covariance
+    inv(A_f.T @ A_f) = inv(R_f) @ inv(R_f).T, with R_f = R when no channel is
+    pinned at 0, else the R of a QR of R's free columns.  That never forms
+    A.T @ A, which would square A's condition number.  A pinned channel gets
+    a zero row and column.
+    """
     # Checked before LAPACK sees them: on a NaN it prints to stderr and fails.
     if not (np.isfinite(weights).all() and (weights >= 0).all()):
         raise DomainError("weights must be finite and nonnegative")
     sqrt_weights = np.sqrt(weights)
-    scaled_design = design * sqrt_weights[:, None]
-    scaled_response = response * sqrt_weights
+    weighted_design = design * sqrt_weights[:, None]
+    weighted_response = response * sqrt_weights
+    # Both sides are scaled by powers of two, exactly, to a largest entry
+    # near 1, so that no norm below underflows or overflows.
+    design_exponent = math.frexp(np.abs(weighted_design).max())[1]
+    scaled_design = np.ldexp(weighted_design, -design_exponent)
+    q, r = np.linalg.qr(scaled_design)
 
-    singular_values = np.linalg.svd(scaled_design, compute_uv=False)
+    _, singular_values, right_vectors = np.linalg.svd(r)
     if len(singular_values) < len(channels) or singular_values[-1] <= 1e-12 * singular_values[0]:
-        combination = _describe_null_combination(scaled_design, channels)
+        null_vector = right_vectors[-1]
+        magnitudes = np.abs(null_vector)
+        # Roundoff can split coefficients of equal magnitude, so the first
+        # within 1e-9 of the largest leads.
+        leading = null_vector[np.argmax(magnitudes >= (1 - 1e-9) * magnitudes.max())]
+        combination = {
+            channel.label: round(float(coefficient / leading), 6)
+            for channel, coefficient in zip(channels, null_vector)
+            if abs(coefficient) > 1e-9 * abs(leading)
+        }
         names = " , ".join(f"{coeff:+g}*K[{label}]" for label, coeff in combination.items())
         raise DegenerateDesignError(
             f"design cannot identify the channel combination {names}; "
@@ -343,25 +347,38 @@ def _weighted_nnls(
             combination,
         )
 
-    if not np.isfinite(scaled_response).all():
+    if not np.isfinite(weighted_response).all():
         raise DomainError("rates and weights must be finite")
-    strengths, residual = _nnls(scaled_design, scaled_response)
+    response_exponent = math.frexp(np.abs(weighted_response).max())[1]
+    scaled_response = np.ldexp(weighted_response, -response_exponent)
+    roundoff = (
+        10 * max(scaled_design.shape) * np.finfo(float).eps * np.linalg.norm(scaled_response)
+    )
+    strengths = _nnls(r, q.T @ scaled_response, roundoff)
+    residual = np.linalg.norm(scaled_design @ strengths - scaled_response)
+    strengths = np.ldexp(strengths, response_exponent - design_exponent)
 
     covariance = np.zeros((len(channels), len(channels)))
     free = strengths > 0
     if free.any():
-        free_design = scaled_design[:, free]
-        try:
-            inverse = np.linalg.inv(free_design.T @ free_design)
-        except np.linalg.LinAlgError:  # the normal matrix underflowed to singular
-            inverse = None
-        if inverse is None or not np.isfinite(inverse).all():
+        free_r = r if free.all() else np.linalg.qr(r[:, free])[1]
+        inverse = np.linalg.inv(free_r)
+        # The scaled design's covariance, scaled back; one beyond the float
+        # range is refused before ldexp would overflow.
+        free_covariance = inverse @ inverse.T
+        exponent = -2 * design_exponent
+        if math.frexp(np.abs(free_covariance).max())[1] + exponent > sys.float_info.max_exp:
             raise DomainError(
                 "the fit's covariance is beyond the float range; "
                 "exposure * depth is too small to fit these counts"
             )
-        covariance[np.ix_(free, free)] = inverse
-    return FitResult(channels, tuple(float(v) for v in strengths), covariance, float(residual))
+        covariance[np.ix_(free, free)] = np.ldexp(free_covariance, exponent)
+    return FitResult(
+        channels,
+        tuple(float(v) for v in strengths),
+        covariance,
+        math.ldexp(residual, response_exponent),
+    )
 
 
 def fit_rates(
@@ -841,24 +858,21 @@ def _channel_columns(fields: Sequence[str]) -> list[str]:
 def write_counts_csv(
     records: Sequence[CountRecord],
     sink: TextIO,
-    mode: CaptureMode | None = None,
-    channel_resolved: bool = False,
+    channel_mode: CaptureMode | None = None,
 ) -> None:
     """Write counts with header setting_id,capture,transmitted.
 
-    With channel_resolved=True (requires mode), per-channel capture columns
-    are appended after the standard three.
+    With channel_mode, that mode's per-channel capture columns are appended
+    after the standard three, as read_counts_csv with channel_mode reads them.
     """
     header = list(COUNTS_HEADER)
-    if channel_resolved:
-        if mode is None:
-            raise DomainError("channel-resolved output needs the capture mode")
-        header += _channel_count_columns(mode)
+    if channel_mode is not None:
+        header += _channel_count_columns(channel_mode)
     writer = csv.writer(sink)
     writer.writerow(header)
     for index, record in enumerate(records):
         row = [index, record.capture_counts, record.transmitted_counts]
-        if channel_resolved:
+        if channel_mode is not None:
             if record.channel_counts is None:
                 raise DomainError("records lack channel counts")
             row += list(record.channel_counts)

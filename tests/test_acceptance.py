@@ -22,9 +22,8 @@ from he3cap.cross_sections import (
     compare_with_oracle,
     grid_values,
     oam_closed_form,
-    oam_oracle,
+    oracle,
     ordinary_closed_form,
-    ordinary_oracle,
 )
 from he3cap.exactnum import QuadRational, SqrtRational
 from he3cap.experiment import MeasurementSetting, design_matrix, fit_rates, fit_strengths, simulate_counts
@@ -52,7 +51,7 @@ def test_criterion_01_ordinary_closed_form_equals_oracle_on_9x9_grid():
         pol = PolarizationTriple(p, Fraction(0), pn)
         for channel in ORDINARY_CHANNELS:
             closed = ordinary_closed_form(channel, pol, UNIT_ORDINARY).value
-            exact = ordinary_oracle(channel, pol, UNIT_ORDINARY).value
+            exact = oracle(channel, pol, UNIT_ORDINARY).value
             assert closed == exact, (channel.label, pol)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
@@ -66,7 +65,7 @@ def test_criterion_02_oam_closed_form_equals_oracle_for_j0_and_j1():
         pol = PolarizationTriple(p, pl, pn)
         for channel in (J0, J1):
             closed = oam_closed_form(channel, pol, UNIT_OAM).value
-            exact = oam_oracle(channel, pol, UNIT_OAM).value
+            exact = oracle(channel, pol, UNIT_OAM).value
             assert closed == exact, (channel.label, pol)
     # The three bracket coefficients of the j''=1 channel, reproduced exactly
     # (value at a corner isolating each pairwise product, times 24).
@@ -97,11 +96,11 @@ def test_criterion_03_j2_adjudication_verdict_stable_and_oracle_sound():
     values = grid_values(5)
     for p, pl, pn in product(values, values, values):
         pol = PolarizationTriple(p, pl, pn)
-        value = oam_oracle(J2, pol, UNIT_OAM).value
+        value = oracle(J2, pol, UNIT_OAM).value
         assert value.sign() >= 0
-        assert value == oam_oracle(J2, pol.flipped(), UNIT_OAM).value
+        assert value == oracle(J2, pol.flipped(), UNIT_OAM).value
     unpolarized = PolarizationTriple.of(0, 0, 0)
-    assert oam_oracle(J2, unpolarized, UNIT_OAM).value == rational("5/12")
+    assert oracle(J2, unpolarized, UNIT_OAM).value == rational("5/12")
 
     # CLI verdict: exit 0 because closed forms and oracle agree everywhere.
     assert cli.main(["oracle-check", "--grid", "5", "--json", "--out", "/dev/null"]) == 0
@@ -133,26 +132,26 @@ def test_criterion_05_zero_loci_exact():
     for sign, other in product((1, -1), grid_values(5)):
         aligned_spin_oam = PolarizationTriple(Fraction(sign), Fraction(sign), other)
         assert oam_closed_form(J0, aligned_spin_oam, UNIT_OAM).value.is_zero
-        assert oam_oracle(J0, aligned_spin_oam, UNIT_OAM).value.is_zero
+        assert oracle(J0, aligned_spin_oam, UNIT_OAM).value.is_zero
         aligned_oam_nuclear = PolarizationTriple(other, Fraction(sign), Fraction(sign))
         assert oam_closed_form(J0, aligned_oam_nuclear, UNIT_OAM).value.is_zero
-        assert oam_oracle(J0, aligned_oam_nuclear, UNIT_OAM).value.is_zero
+        assert oracle(J0, aligned_oam_nuclear, UNIT_OAM).value.is_zero
     # j''=1 closes at the fully aligned corner.
     for sign in (1, -1):
         corner = PolarizationTriple.of(sign, sign, sign)
         assert oam_closed_form(J1, corner, UNIT_OAM).value.is_zero
-        assert oam_oracle(J1, corner, UNIT_OAM).value.is_zero
+        assert oracle(J1, corner, UNIT_OAM).value.is_zero
     report("criterion 5 (zero loci: singlet, j0 on both loci, j1 at aligned corner)")
 
 
 def test_criterion_06_unpolarized_statistical_weights_scale_with_strength():
     unpolarized = PolarizationTriple.of(0, 0, 0)
     strength = Fraction(7, 3)
-    oam_model = CaptureModel.uniform(CaptureMode.OAM, strength)
+    oam_model = CaptureModel(CaptureMode.OAM, (strength,) * 3)
     expected_oam = [Fraction(1, 12), Fraction(1, 2), Fraction(5, 12)]
     for channel, weight in zip(OAM_CHANNELS, expected_oam):
         assert oam_closed_form(channel, unpolarized, oam_model).value == rational(weight * strength)
-    ordinary_model = CaptureModel.uniform(CaptureMode.ORDINARY, strength)
+    ordinary_model = CaptureModel(CaptureMode.ORDINARY, (strength,) * 2)
     assert ordinary_closed_form(SINGLET, unpolarized, ordinary_model).value == rational(
         Fraction(1, 4) * strength
     )

@@ -1037,6 +1037,36 @@ class TestSimulateAndFit:
         )
 
     @pytest.mark.parametrize(
+        "points",
+        [["1,1,1", "1,1,1", "0,0,0", "1/2,1/2,1/2"], ["0,0,0", "1,1,1", "-1,-1,-1", "1,1,1"]],
+        ids=["aligned-first", "unpolarized-first"],
+    )
+    def test_degenerate_combination_is_signed_the_same_in_any_order(
+        self, capsys, tmp_path, points
+    ):
+        settings_path = tmp_path / "settings.csv"
+        settings_path.write_text(
+            "p,P_L,P_N,exposure,depth\n" + "".join(f"{point},1000000,0.001\n" for point in points)
+        )
+        counts_path = tmp_path / "counts.csv"
+        counts_path.write_text(
+            "setting_id,capture,transmitted\n0,1325,996690\n1,499,998642\n"
+            "2,2375,997734\n3,1524,997172\n"
+        )
+        code, out, err = run(
+            capsys,
+            "fit",
+            "--settings", str(settings_path),
+            "--counts", str(counts_path),
+            "--mode", "oam",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: design cannot identify the channel combination "
+            "+1*K[0-] , -0.166667*K[1-]; add settings that separate these channels\n"
+        )
+
+    @pytest.mark.parametrize(
         ("point", "k", "message"),
         [
             ("0,0,0", "1,1e400,1", "strength K[1-] is above 1.79769e+308, the largest float"),

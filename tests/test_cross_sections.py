@@ -35,10 +35,8 @@ from he3cap.cross_sections import (
     grid_values,
     j2_corner_extrema,
     oam_closed_form,
-    oam_oracle,
     oracle,
     ordinary_closed_form,
-    ordinary_oracle,
     sections_total,
 )
 from he3cap.errors import DomainError, ModeMismatchError
@@ -175,7 +173,7 @@ class TestOamClosedForm:
         pol = PolarizationTriple.of(1, -1, 1)
         closed_value = oam_closed_form(J2, pol, UNIT_OAM).value
         assert closed_value == rational("1/6")
-        assert oam_oracle(J2, pol, UNIT_OAM).value == closed_value
+        assert oracle(J2, pol, UNIT_OAM).value == closed_value
 
     def test_interference_coefficients_pinned_exactly(self):
         # Corners isolating each pairwise product pin the bracket
@@ -206,34 +204,38 @@ class TestOamClosedForm:
 class TestOracles:
     def test_ordinary_unpolarized_statistical_weights(self):
         pol = PolarizationTriple.of(0, 0, 0)
-        assert ordinary_oracle(SINGLET, pol, UNIT_ORDINARY).value == rational("1/4")
-        assert ordinary_oracle(TRIPLET, pol, UNIT_ORDINARY).value == rational("3/4")
+        assert oracle(SINGLET, pol, UNIT_ORDINARY).value == rational("1/4")
+        assert oracle(TRIPLET, pol, UNIT_ORDINARY).value == rational("3/4")
 
     def test_ordinary_stretched_state(self):
         pol = PolarizationTriple.of(1, 0, 1)
-        assert ordinary_oracle(TRIPLET, pol, UNIT_ORDINARY).value == rational(1)
-        assert ordinary_oracle(SINGLET, pol, UNIT_ORDINARY).value.is_zero
+        assert oracle(TRIPLET, pol, UNIT_ORDINARY).value == rational(1)
+        assert oracle(SINGLET, pol, UNIT_ORDINARY).value.is_zero
 
     def test_oam_j0_blocked_when_spin_oam_aligned(self):
         # Only the coupled j'=1/2 component feeds j''=0, and the stretched
         # m'=3/2 state reached at p = P_L = 1 has none of it.
         for pn in (Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(1)):
             pol = PolarizationTriple(Fraction(1), Fraction(1), pn)
-            assert oam_oracle(J0, pol, UNIT_OAM).value.is_zero
+            assert oracle(J0, pol, UNIT_OAM).value.is_zero
 
     def test_oam_unpolarized_statistical_weights(self):
         pol = PolarizationTriple.of(0, 0, 0)
-        assert oam_oracle(J0, pol, UNIT_OAM).value == rational("1/12")
-        assert oam_oracle(J1, pol, UNIT_OAM).value == rational("1/2")
-        assert oam_oracle(J2, pol, UNIT_OAM).value == rational("5/12")
+        assert oracle(J0, pol, UNIT_OAM).value == rational("1/12")
+        assert oracle(J1, pol, UNIT_OAM).value == rational("1/2")
+        assert oracle(J2, pol, UNIT_OAM).value == rational("5/12")
 
     def test_dispatchers(self):
         pol = PolarizationTriple.of("1/2", "1/4", "-1/3")
-        assert oracle(J1, pol, UNIT_OAM).value == oam_oracle(J1, pol, UNIT_OAM).value
         assert (
             closed_form(SINGLET, pol, UNIT_ORDINARY).value
             == ordinary_closed_form(SINGLET, pol, UNIT_ORDINARY).value
         )
+        # The oracle serves both modes and still refuses a channel of the other.
+        with pytest.raises(ModeMismatchError):
+            oracle(TRIPLET, pol, UNIT_OAM)
+        with pytest.raises(ModeMismatchError):
+            oracle(J1, pol, UNIT_ORDINARY)
 
 
 class TestTabledOracle:
@@ -331,7 +333,7 @@ class TestSubstateOccupations:
         ids=["mixed-denominators", "unpolarized"],
     )
     def test_integer_point(self, pol, point):
-        assert cross_sections._integer_point(pol) == point
+        assert pol.integer_form[0] == point
 
     @pytest.mark.parametrize("channel", ALL_CHANNELS, ids=lambda channel: channel.label)
     def test_orbital_momentum_follows_parity(self, channel):
@@ -408,7 +410,7 @@ class TestClosedFormEqualsOracle:
         for channel in OAM_CHANNELS:
             assert (
                 oam_closed_form(channel, pol, UNIT_OAM).value
-                == oam_oracle(channel, pol, UNIT_OAM).value
+                == oracle(channel, pol, UNIT_OAM).value
             )
 
     @given(triples)
@@ -417,7 +419,7 @@ class TestClosedFormEqualsOracle:
         for channel in ORDINARY_CHANNELS:
             assert (
                 ordinary_closed_form(channel, pol, UNIT_ORDINARY).value
-                == ordinary_oracle(channel, pol, UNIT_ORDINARY).value
+                == oracle(channel, pol, UNIT_ORDINARY).value
             )
 
     @given(triples)
@@ -472,7 +474,7 @@ class TestTotals:
         assert total == rational(1)
         oracle_sum = QuadRational.zero()
         for channel in OAM_CHANNELS:
-            oracle_sum = oracle_sum + oam_oracle(channel, pol, UNIT_OAM).value
+            oracle_sum = oracle_sum + oracle(channel, pol, UNIT_OAM).value
         assert total == oracle_sum
 
     @given(triples)

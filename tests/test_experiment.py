@@ -320,6 +320,17 @@ def nnls_problems(draw):
     return design, response, channels
 
 
+def _exact_inverse(matrix):
+    """The inverse of a 3 x 3 matrix of Fractions, by cofactors."""
+    def cofactor(i, j):
+        rows, columns = ((i + 1) % 3, (i + 2) % 3), ((j + 1) % 3, (j + 2) % 3)
+        (a, b), (c, d) = ([matrix[r][s] for s in columns] for r in rows)
+        return a * d - b * c
+
+    determinant = sum(matrix[0][j] * cofactor(0, j) for j in range(3))
+    return [[cofactor(j, i) / determinant for j in range(3)] for i in range(3)]
+
+
 class TestFitting:
     def test_noiseless_recovery_is_exact(self):
         settings = cube_settings()
@@ -367,6 +378,68 @@ class TestFitting:
         message = str(excinfo.value)
         assert "K[" in message
         assert excinfo.value.combination
+
+    # Unpolarized and aligned rows, and a point between them, in two orders;
+    # both leave the same combination unidentified.
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0, 0), (1, 1, 1), (-1, -1, -1), (1, 1, 1)],
+            [(1, 1, 1), (1, 1, 1), (0, 0, 0), ("1/2", "1/2", "1/2")],
+        ],
+        ids=["unpolarized-first", "aligned-first"],
+    )
+    def test_degenerate_combination_is_signed_the_same_in_any_order(self, points):
+        # Its first coefficient of largest magnitude is +1, whatever sign
+        # LAPACK gives the null vector.
+        with pytest.raises(DegenerateDesignError) as caught:
+            fit_rates([setting(*point) for point in points], [1.0] * 4, CaptureMode.OAM)
+        assert str(caught.value) == (
+            "design cannot identify the channel combination +1*K[0-] , -0.166667*K[1-]; "
+            "add settings that separate these channels"
+        )
+        assert caught.value.combination == {"0-": 1.0, "1-": -0.166667}
+
+    def test_degenerate_combination_of_equal_coefficients_leads_with_the_first(self):
+        # Both rows are (1/2, 1/2), so the null vector is (1, -1)/sqrt(2), and
+        # roundoff makes its second coefficient the larger in magnitude.
+        with pytest.raises(DegenerateDesignError) as caught:
+            fit_rates([setting(1, 0, -1)] * 2, [1.0] * 2, CaptureMode.ORDINARY)
+        assert caught.value.combination == {"0+": 1.0, "1+": -1.0}
+
+    def test_covariance_is_accurate_for_an_ill_conditioned_design(self):
+        # Condition number 1.9e7, which the normal matrix A.T @ A would square.
+        eps = Fraction(1, 2**22)
+        rows = [
+            (1, 1, 1), (1, 1 + eps, 1), (1, 1, 1 + eps), (1, 1 + eps, 1 + eps), (2, 1, 0), (0, 1, 2)
+        ]
+        normal = [
+            [sum(Fraction(row[i]) * row[j] for row in rows) for j in range(3)] for i in range(3)
+        ]
+        design = np.array(rows, dtype=float)
+        result = experiment._weighted_nnls(
+            design, design @ np.array([1.0, 2.0, 0.5]), np.ones(len(rows)), OAM_CHANNELS
+        )
+        assert min(result.strengths) > 0
+        exact = np.array(_exact_inverse(normal), dtype=float)
+        np.testing.assert_allclose(result.covariance, exact, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("resolved", [False, True], ids=["summed", "channel-resolved"])
+    def test_a_fit_factors_its_data_once(self, monkeypatch, resolved):
+        settings = cube_settings(5, exposure=6.5e7, depth=1e-4)
+        records = simulate_counts(settings, CaptureModel(CaptureMode.OAM, (1, 2, "1/2")), 1)
+        shapes = []
+        for name in ("svd", "qr", "inv", "lstsq"):
+
+            def recording(*args, _original=getattr(np.linalg, name), **kwargs):
+                shapes.extend(np.shape(arg) for arg in args if isinstance(arg, np.ndarray))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        fit_strengths(records, CaptureMode.OAM, channel_resolved=resolved)
+        # The one array of more than three rows is the weighted design.
+        rows = len(records) * (3 if resolved else 1)
+        assert [shape for shape in shapes if shape[0] > 3] == [(rows, 3)]
 
     def test_fit_strengths_channel_summed(self):
         settings = cube_settings(exposure=1e6, depth=1e-3)
@@ -760,7 +833,7 @@ class TestFileFormats:
         settings = cube_settings(2, exposure=1e4, depth=0.01)
         records = simulate_counts(settings, CaptureModel.uniform(CaptureMode.OAM), 8)
         buffer = io.StringIO()
-        write_counts_csv(records, buffer, CaptureMode.OAM, channel_resolved=True)
+        write_counts_csv(records, buffer, CaptureMode.OAM)
         buffer.seek(0)
         assert read_counts_csv(buffer, settings) == records
 
